@@ -1,16 +1,16 @@
-// Batched, pipelined envelope execution vs the one-message-per-hop
-// baseline (DESIGN.md §4, ROADMAP "batch and pipeline the executor's
-// mutant-query-plan envelopes").
+// Batched, pipelined envelope execution vs one unsplit walk (DESIGN.md
+// §4, ROADMAP "batch and pipeline the executor's mutant-query-plan
+// envelopes").
 //
 // An 88-peer overlay whose trie is deep under the 'age' partition (32
 // in-partition leaves) runs the same Migrate join — 256 left bindings
 // against 400 partition triples — under four envelope configurations:
-// the v0 baseline (one walk, all bindings per hop, accumulate), fan-out
-// only, fan-out + binding chunking, and fan-out + chunking + pipelined
-// forwarding. Reported per configuration: simulated completion time,
-// envelope messages, the longest single-envelope hop chain, streamed
-// partials, bytes on the wire, and whether the result bytes match the
-// baseline. The whole comparison runs under both engines (single-threaded
+// the baseline (one unsplit, unchunked walk that forwards only after
+// each local join), fan-out only, fan-out + binding chunking, and
+// fan-out + chunking + pipelined forwarding. Reported per configuration:
+// simulated completion time, envelope messages, the longest
+// single-envelope hop chain, streamed partials, bytes on the wire, and
+// whether the result bytes match the baseline. The whole comparison runs under both engines (single-threaded
 // Simulation and ShardedScheduler K=4); the exit code encodes "results
 // byte-identical across configurations and engines AND batched+pipelined
 // beats the baseline on max hops and completion time".
@@ -57,13 +57,11 @@ std::vector<Config> Configs() {
   exec::EnvelopeOptions baseline;
   baseline.fanout = 1;
   baseline.max_bindings_per_envelope = 0;
-  baseline.stream_partials = false;
   baseline.pipeline = false;
-  configs.push_back({"baseline (v0 one-msg-per-hop)", baseline});
+  configs.push_back({"baseline (one unsplit walk)", baseline});
 
   exec::EnvelopeOptions fanout = baseline;
   fanout.fanout = 4;
-  fanout.stream_partials = true;
   configs.push_back({"fanout=4", fanout});
 
   exec::EnvelopeOptions chunked = fanout;
@@ -219,7 +217,7 @@ int main() {
       "88-peer overlay, 32-peer partition) under four envelope "
       "configurations and both engines. Batched+pipelined must return "
       "byte-identical rows with a shorter hop chain and lower simulated "
-      "completion time than the v0 one-message-per-hop baseline.");
+      "completion time than the unsplit, unpipelined baseline walk.");
 
   std::vector<Row> all;
   {

@@ -104,13 +104,9 @@ Cost CostModel::IndexJoinMigrate(double left_cardinality,
       (branch_peers + chunks - 1) * stage_us;
 
   // Envelope hops (route-in per launched walk + one hop per visited peer
-  // per chunk) plus the replies: one streamed partial per visit, or one
-  // terminal per walk in accumulate mode.
-  const double replies =
-      batching.stream_partials ? peers * chunks : branches * chunks;
+  // per chunk) plus one streamed reply per visit.
   const double messages =
-      branches * chunks * route_in + peers * chunks  // envelope hops
-      + replies;
+      branches * chunks * route_in + 2 * peers * chunks;
   // Each binding rides its branch's slice of the partition once.
   const double tuples = left_cardinality * (branch_peers + 1);
   return Cost{messages, latency_us, tuples};

@@ -37,9 +37,6 @@ struct MigrateBatching {
   double fanout = 1;                     ///< Parallel sub-range walks.
   double max_bindings_per_envelope = 0;  ///< 0 = all bindings in one chunk.
   bool pipelined = false;                ///< Forward before the local join.
-  /// Visited peers stream one partial reply each; false = accumulate into
-  /// the terminal reply (one reply per walk).
-  bool stream_partials = false;
   /// Simulated local-join cost parameters (exec::EnvelopeOptions).
   double visit_cost_us = 100.0;
   double pair_cost_us = 0.5;

@@ -82,11 +82,7 @@ PlanEnvelope EnvelopeCoordinator::MakeEnvelope(uint32_t branch,
   env.branch = branch;
   env.chunk_id = chunk;
   env.chunk_count = static_cast<uint32_t>(chunks_.size());
-  if (options_.stream_partials) {
-    env.flags |= kEnvelopeStreamPartials;
-    if (options_.pipeline) env.flags |= kEnvelopePipelined;
-  }
-  env.segment_lo = w.frontier.bits();
+  if (options_.pipeline) env.flags |= kEnvelopePipelined;
   env.pattern = pattern_;
   env.filter_vql = filter_vql_;
   env.remaining.lo = w.frontier;
@@ -170,7 +166,7 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
       w.results[lo] = std::move(reply.results);
       w.pending[lo] = reply.covered_hi;
       w.accepted[lo] = reply.covered_hi;
-      w.peer_visits += std::max<uint32_t>(1, reply.peers_visited);
+      ++w.peer_visits;
       contributors_.push_back(CacheContributor{
           reply.origin, lo, reply.covered_hi, reply.store_version});
       AdvanceFrontier(&w);

@@ -41,12 +41,8 @@ struct EnvelopeOptions {
   /// Bindings per envelope before the walk is chunked (0 = unlimited).
   uint32_t max_bindings_per_envelope = 128;
   /// Visited peers forward the shrunk envelope before their local join
-  /// completes, overlapping network latency with local work. Only takes
-  /// effect together with `stream_partials`.
+  /// completes, overlapping network latency with local work.
   bool pipeline = true;
-  /// Visited peers stream their local results straight to the initiator
-  /// instead of accumulating them into the envelope (v0 behaviour).
-  bool stream_partials = true;
   /// Simulated local-join cost: fixed per-visit overhead plus a per
   /// (local triple x binding) pair term. Serving serializes per peer, so
   /// these model the compute the pipeline overlaps with latency.
@@ -116,8 +112,7 @@ struct MigrateResult {
   uint32_t max_walk_hops = 0;
   /// Serving peers with their covered slices and store-range versions
   /// (deduplicated; min version per (peer, slice) so any later mutation
-  /// invalidates). Complete only in stream-partials mode — accumulate-mode
-  /// terminals name just the last peer, so the cache skips those runs.
+  /// invalidates).
   std::vector<CacheContributor> contributors;
   /// False when any walk was abandoned (partial_results mode): `rows` is
   /// a partial answer and `coverage_gaps` names exactly what is missing.
@@ -205,7 +200,7 @@ class EnvelopeCoordinator {
     uint32_t retries_left = 0;
     uint64_t generation = 0;   ///< Bumped on progress and relaunch.
     uint64_t latest_walk_id = 0;  ///< Current instance; stale errors ignored.
-    uint32_t peer_visits = 0;  ///< Sum of accepted replies' peers_visited.
+    uint32_t peer_visits = 0;  ///< Accepted replies (one per serving peer).
     /// Accepted but not-yet-contiguous coverage: covered_lo -> covered_hi.
     std::map<std::string, std::string> pending;
     /// Every accepted interval: covered_lo -> covered_hi (kept after

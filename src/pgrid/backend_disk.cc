@@ -1,7 +1,5 @@
 #include "pgrid/backend_disk.h"
 
-#include <algorithm>
-#include <cstring>
 #include <set>
 #include <utility>
 
@@ -14,9 +12,6 @@
 namespace unistore {
 namespace pgrid {
 namespace storage {
-
-using run_format::AppendVarint;
-using run_format::ReadVarint;
 
 std::string RunFileName(uint64_t file_number) {
   return "run-" + std::to_string(file_number);
@@ -105,7 +100,7 @@ Status ValidateBlockPayload(std::string_view payload) {
     if (index == 0 && shared != 0) return corrupt("chain start");
     if (shared != 0) {
       if (shared > prev_key_len) return corrupt("shared prefix");
-      if (shared + suffix > SortedRun::kMaxCompressedKeyBits) {
+      if (shared + suffix > run_format::kMaxCompressedKeyBits) {
         return corrupt("key length");
       }
     }
@@ -157,27 +152,12 @@ void DiskRunWriter::Add(const EntryView& e) {
     if (!status_.ok()) return;
   }
   approx_bytes_ += ApproxEntryBytes(e);
-  size_t shared = 0;
-  if (block_.empty()) {
-    first_key_.assign(e.key_bits.data(), e.key_bits.size());
-  } else if (e.key_bits.size() <= SortedRun::kMaxCompressedKeyBits) {
-    // Overlong keys are stored unshared (shared == 0): the cursor then
-    // reads the key straight from the block bytes instead of its fixed
-    // reassembly buffer, so no plain-format fallback is needed on disk.
-    const size_t limit = std::min(prev_key_.size(), e.key_bits.size());
-    while (shared < limit && prev_key_[shared] == e.key_bits[shared]) {
-      ++shared;
-    }
-  }
-  AppendVarint(&block_, shared);
-  AppendVarint(&block_, e.key_bits.size() - shared);
-  block_.append(e.key_bits.data() + shared, e.key_bits.size() - shared);
-  AppendVarint(&block_, e.id.size());
-  block_.append(e.id.data(), e.id.size());
-  AppendVarint(&block_, e.payload.size());
-  block_.append(e.payload.data(), e.payload.size());
-  AppendVarint(&block_, e.version);
-  block_.push_back(e.deleted ? '\1' : '\0');
+  // Each block starts a fresh prefix chain so blocks decode independently.
+  const bool chain_start = block_.empty();
+  if (chain_start) first_key_.assign(e.key_bits.data(), e.key_bits.size());
+  run_format::AppendRecord(
+      e, chain_start ? std::string_view() : std::string_view(prev_key_),
+      &block_);
   prev_key_.assign(e.key_bits.data(), e.key_bits.size());
   ++count_;
 }
@@ -374,38 +354,6 @@ bool DiskRun::FindSlot(std::string_view key_bits, std::string_view id,
 // ---------------------------------------------------------------------------
 // DiskRunCursor
 
-void DiskRunCursor::DecodeRecord() {
-  const std::string_view payload(*block_);
-  size_t pos = pos_;
-  const uint64_t shared = ReadVarint(payload, &pos);
-  const uint64_t suffix = ReadVarint(payload, &pos);
-  if (shared == 0) {
-    // Chain starts alias the block bytes directly — this is what lets
-    // overlong keys (beyond the fixed buffer) live in block files.
-    view_.key_bits = payload.substr(pos, suffix);
-    key_in_buf_ = false;
-  } else {
-    if (!key_in_buf_) {
-      // Previous key aliased the (still pinned) block; pull the shared
-      // prefix into the reassembly buffer once.
-      std::memcpy(key_buf_, view_.key_bits.data(), shared);
-    }
-    std::memcpy(key_buf_ + shared, payload.data() + pos, suffix);
-    view_.key_bits = std::string_view(key_buf_, shared + suffix);
-    key_in_buf_ = true;
-  }
-  pos += suffix;
-  const uint64_t id_len = ReadVarint(payload, &pos);
-  view_.id = payload.substr(pos, id_len);
-  pos += id_len;
-  const uint64_t payload_len = ReadVarint(payload, &pos);
-  view_.payload = payload.substr(pos, payload_len);
-  pos += payload_len;
-  view_.version = ReadVarint(payload, &pos);
-  view_.deleted = payload[pos++] != '\0';
-  next_pos_ = pos;
-}
-
 bool DiskRunCursor::LoadBlock(uint32_t index) {
   block_ = run_->LoadBlock(index);
   if (block_ == nullptr) {
@@ -413,9 +361,7 @@ bool DiskRunCursor::LoadBlock(uint32_t index) {
     return false;
   }
   block_index_ = index;
-  pos_ = 0;
-  key_in_buf_ = false;
-  DecodeRecord();
+  next_pos_ = record_.Decode(*block_, 0);
   return true;
 }
 
@@ -437,7 +383,7 @@ void DiskRunCursor::Seek(const DiskRun* run, std::string_view lo_bits) {
     }
   }
   if (!LoadBlock(static_cast<uint32_t>(lo > 0 ? lo - 1 : 0))) return;
-  while (view_.key_bits < lo_bits) {
+  while (view().key_bits < lo_bits) {
     Advance();
     if (!valid_) return;
   }
@@ -446,8 +392,7 @@ void DiskRunCursor::Seek(const DiskRun* run, std::string_view lo_bits) {
 void DiskRunCursor::Advance() {
   if (!valid_) return;
   if (next_pos_ < block_->size()) {
-    pos_ = next_pos_;
-    DecodeRecord();
+    next_pos_ = record_.Decode(*block_, next_pos_);
     return;
   }
   if (block_index_ + 1 < run_->blocks_.size()) {

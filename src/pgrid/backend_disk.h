@@ -1,9 +1,9 @@
 // On-disk primitives of the durable storage backend: immutable run files,
 // the block cache, and the manifest record codec.
 //
-// A run file persists one sorted run in the prefix-compressed record
-// format of SortedRun's arena, split into independently checksummed
-// blocks:
+// A run file persists one sorted run in the run_format record layout
+// of SortedRun's arena (sorted_run.h), split into independently
+// checksummed blocks:
 //
 //   [u32 magic][u32 format]                          file header
 //   repeat: [u32 payload_len][u32 masked_crc][payload]   blocks
@@ -15,13 +15,9 @@
 //   [u64 index_offset][u32 index_masked_crc][u32 magic]  fixed tail
 //
 // Each block starts a fresh prefix chain (its first record stores the
-// full key), so blocks decode independently; a record whose full key
-// exceeds SortedRun::kMaxCompressedKeyBits is stored with shared == 0 so
-// its key aliases the block bytes instead of the cursor's fixed
-// reassembly buffer — overlong keys need no plain-format fallback on
-// disk. Block payloads are structurally validated once, on cache miss,
-// so the cursor's per-record decode can stay unchecked like the
-// in-memory arena decode.
+// full key), so blocks decode independently. Block payloads are
+// structurally validated once, on cache miss, so the cursor's per-record
+// decode can stay unchecked like the in-memory arena decode.
 //
 // The manifest (`MANIFEST`) is an append-only stream of framed records
 // ([u32 len][u32 masked_crc][payload]) describing the evolution of the
@@ -168,8 +164,8 @@ class DiskRun {
 ///
 /// Mirrors SortedRun::Cursor: after Seek, view() exposes the current
 /// entry as an EntryView whose id/payload alias the pinned block and
-/// whose key aliases either the block (records stored with shared == 0)
-/// or the cursor's fixed reassembly buffer. Block loads may allocate
+/// whose key aliases the decoder's fixed reassembly buffer, or the block
+/// for an overlong key. Block loads may allocate
 /// (cache fills); the in-memory backend's allocation-free scan guarantee
 /// does not extend to disk scans.
 class DiskRunCursor {
@@ -178,24 +174,20 @@ class DiskRunCursor {
 
   void Seek(const DiskRun* run, std::string_view lo_bits);
   bool valid() const { return valid_; }
-  const EntryView& view() const { return view_; }
+  const EntryView& view() const { return record_.view(); }
   void Advance();
 
  private:
   /// Loads block `index` and decodes its first record; invalidates the
   /// cursor on read failure.
   bool LoadBlock(uint32_t index);
-  void DecodeRecord();
 
   const DiskRun* run_ = nullptr;
   bool valid_ = false;
-  EntryView view_;
   BlockCache::BlockHandle block_;  // Pin on the current block.
   uint32_t block_index_ = 0;
-  size_t pos_ = 0;       // Payload offset of the current record.
-  size_t next_pos_ = 0;
-  bool key_in_buf_ = false;  // Key reassembled into key_buf_ vs aliased.
-  char key_buf_[SortedRun::kMaxCompressedKeyBits];
+  size_t next_pos_ = 0;  // Payload offset past the current record.
+  run_format::RecordDecoder record_;
 };
 
 /// \brief Streams a sorted entry sequence into a run file.

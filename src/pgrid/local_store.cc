@@ -151,8 +151,7 @@ LocalStore::LocalStore(const LocalStoreOptions& options) {
     }
   }
   if (backend_ == nullptr) {
-    backend_ = std::make_unique<MemoryBackend>(options_.compress_runs,
-                                               options_.restart_interval);
+    backend_ = std::make_unique<MemoryBackend>(options_.restart_interval);
   }
   if (backend_->run_count() > 0) RecountFromBackend();
 }
@@ -620,15 +619,10 @@ void LocalStore::Compact() {
 
 void LocalStore::MaybeCompact() {
   if (!io_status_.ok()) return;
-  if (options_.compaction == LocalStoreOptions::CompactionPolicy::kTiered) {
-    TierCompact();
-  } else if (backend_->run_count() > options_.max_runs) {
-    MergeRuns(0, backend_->run_count());
-    return;
-  }
-  // Hard bound (also the tiered policy's backstop when run sizes
-  // interleave so no same-class group forms): fold the oldest runs
-  // together until the store fits the fixed scan-cursor budget.
+  TierCompact();
+  // Hard bound (the tiered policy's backstop when run sizes interleave so
+  // no same-class group forms): fold the oldest runs together until the
+  // store fits the fixed scan-cursor budget.
   if (backend_->run_count() > options_.max_runs) {
     MergeRuns(0, backend_->run_count() - options_.max_runs + 1);
   }

@@ -30,39 +30,23 @@ struct LocalStoreOptions {
   /// Memtable entries at which the memtable is frozen into a sorted run.
   size_t memtable_flush_threshold = 512;
 
-  /// Hard cap on the number of resident runs (scan fan-in bound). When the
-  /// compaction policy leaves more runs than this, the oldest runs are
-  /// merged down until the store fits. Clamped to kMaxRuns.
+  /// Hard cap on the number of resident runs (scan fan-in bound). When
+  /// size-tiered compaction leaves more runs than this, the oldest runs
+  /// are merged down until the store fits. Clamped to kMaxRuns.
   size_t max_runs = 10;
 
-  /// How runs are compacted.
-  enum class CompactionPolicy : uint8_t {
-    /// Size-tiered: only runs of similar size merge (amortized O(log N)
-    /// write amplification). The default.
-    kTiered = 0,
-    /// The pre-tiering behaviour: every compaction merges ALL runs into
-    /// one (O(store) rewritten per compaction). Kept as the
-    /// write-amplification baseline for bench_bulk_load.
-    kFullMerge = 1,
-  };
-  CompactionPolicy compaction = CompactionPolicy::kTiered;
-
-  /// Tiered policy: contiguous same-size-class runs at which the group
-  /// merges into one (the tier fan-in). Minimum 2.
+  /// Runs are compacted size-tiered: only runs of similar size merge
+  /// (amortized O(log N) write amplification). The contiguous
+  /// same-size-class run count at which a group merges into one (the
+  /// tier fan-in). Minimum 2.
   size_t tier_fanin = 4;
 
-  /// Tiered policy: size-class growth factor — runs a and b share a class
-  /// iff floor(log_growth(size/flush_threshold)) matches. Minimum 2.
+  /// Size-class growth factor — runs a and b share a class iff
+  /// floor(log_growth(size/flush_threshold)) matches. Minimum 2.
   size_t tier_growth = 4;
 
-  /// Build runs in the prefix-compressed format (shared-prefix truncation
-  /// of key bits per block, restart points every `restart_interval`
-  /// entries). Scans stay zero-copy/allocation-free; runs shrink by the
-  /// shared key prefixes (bench_bulk_load gates the resident-byte
-  /// savings).
-  bool compress_runs = true;
-
-  /// Entries per restart block of a compressed run. Minimum 1.
+  /// Runs store keys prefix-truncated against the previous entry, with
+  /// restart points (full key) every `restart_interval` entries. Minimum 1.
   size_t restart_interval = 16;
 
   /// Which engine owns the run set.
@@ -172,7 +156,7 @@ struct LocalStoreWriteStats {
 /// The read API is visitor-based and zero-copy: Scan* walk a k-way merge
 /// of memtable + runs in (key, id) order and hand each winning entry to
 /// the visitor as an EntryView — no per-entry copy and, for the in-memory
-/// backend, no heap allocation, for plain and compressed runs alike. The
+/// backend, no heap allocation, overlong keys included. The
 /// Get* wrappers materialize vectors on top of the scans for tests and
 /// cold paths (exchange data handoff).
 class LocalStore {

@@ -1195,15 +1195,28 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
   // Under a limit, cap the local batch at the remaining budget. The scan
   // visits entries in key order, so stopping early preserves the
   // ordered-walk semantics (the smallest keys win) — and unlike the old
-  // materialize-then-trim, entries past the budget are never even read.
+  // materialize-then-trim, most entries past the budget are never read.
+  // Once the budget is spent the batch still takes every entry sharing
+  // the last key: keys are order-preserving but not injective (a long
+  // attribute name leaves few key characters for the value), so the
+  // entries of one key are unordered by value and the caller's top-k may
+  // be any of them. Equal keys sit on this peer, so the walk still ends
+  // here.
   uint64_t budget = std::numeric_limits<uint64_t>::max();
   if (req.limit > 0) {
     budget = req.collected < req.limit ? req.limit - req.collected : 0;
   }
   uint64_t count = 0;
   if (budget > 0) {
-    store_.ScanRange(req.range, [&count, budget](const EntryView&) {
-      return ++count < budget;
+    std::string last_key;
+    store_.ScanRange(req.range, [&](const EntryView& e) {
+      if (count == budget) {
+        if (e.key_bits != last_key) return false;
+      } else if (count + 1 == budget) {
+        last_key.assign(e.key_bits);
+      }
+      ++count;
+      return true;
     });
   }
 

@@ -1,8 +1,8 @@
 // Property tests of the versioned envelope/reply codecs (DESIGN.md §4):
-// random envelopes round-trip exactly, truncated and corrupted buffers
-// return errors (never crash), and the legacy v0 (pre-chunking) layouts
-// still decode. Plus the pure pieces of the batched executor: range
-// splitting and the EnvelopeCoordinator state machine.
+// random envelopes round-trip exactly; truncated buffers, legacy v0
+// layouts and unknown versions are Corruption; corrupted buffers never
+// crash. Plus the pure pieces of the batched executor: range splitting
+// and the EnvelopeCoordinator state machine.
 #include "exec/envelope.h"
 
 #include <gtest/gtest.h>
@@ -79,8 +79,7 @@ PlanEnvelope RandomEnvelope(Rng* rng) {
   env.branch = static_cast<uint32_t>(rng->NextBounded(8));
   env.chunk_count = static_cast<uint32_t>(1 + rng->NextBounded(6));
   env.chunk_id = static_cast<uint32_t>(rng->NextBounded(env.chunk_count));
-  env.flags = static_cast<uint8_t>(rng->NextBounded(4));
-  env.visited = static_cast<uint32_t>(rng->NextBounded(30));
+  env.flags = static_cast<uint8_t>(rng->NextBounded(2));
   env.pattern.subject = RandomTerm(rng);
   env.pattern.predicate = RandomTerm(rng);
   env.pattern.object = RandomTerm(rng);
@@ -88,9 +87,7 @@ PlanEnvelope RandomEnvelope(Rng* rng) {
   pgrid::Key a = RandomDataKey(rng);
   pgrid::Key b = RandomDataKey(rng);
   env.remaining = a < b ? pgrid::KeyRange{a, b} : pgrid::KeyRange{b, a};
-  env.segment_lo = env.remaining.lo.bits();
   env.bindings = RandomBindings(rng, 5);
-  env.results = RandomBindings(rng, 5);
   return env;
 }
 
@@ -111,7 +108,8 @@ EnvelopeReply RandomReply(Rng* rng) {
     reply.covered_hi = (a < b ? b : a).bits();
   }
   reply.results = RandomBindings(rng, 5);
-  reply.peers_visited = static_cast<uint32_t>(rng->NextBounded(40));
+  reply.store_version = rng->Next();
+  reply.retry_after_us = static_cast<uint32_t>(rng->NextBounded(5000));
   return reply;
 }
 
@@ -122,14 +120,11 @@ void ExpectEnvelopesEqual(const PlanEnvelope& a, const PlanEnvelope& b) {
   EXPECT_EQ(a.chunk_id, b.chunk_id);
   EXPECT_EQ(a.chunk_count, b.chunk_count);
   EXPECT_EQ(a.flags, b.flags);
-  EXPECT_EQ(a.visited, b.visited);
-  EXPECT_EQ(a.segment_lo, b.segment_lo);
   EXPECT_EQ(a.pattern.ToString(), b.pattern.ToString());
   EXPECT_EQ(a.filter_vql, b.filter_vql);
   EXPECT_EQ(a.remaining.lo, b.remaining.lo);
   EXPECT_EQ(a.remaining.hi, b.remaining.hi);
   EXPECT_EQ(a.bindings, b.bindings);
-  EXPECT_EQ(a.results, b.results);
 }
 
 void ExpectRepliesEqual(const EnvelopeReply& a, const EnvelopeReply& b) {
@@ -143,7 +138,8 @@ void ExpectRepliesEqual(const EnvelopeReply& a, const EnvelopeReply& b) {
   EXPECT_EQ(a.covered_lo, b.covered_lo);
   EXPECT_EQ(a.covered_hi, b.covered_hi);
   EXPECT_EQ(a.results, b.results);
-  EXPECT_EQ(a.peers_visited, b.peers_visited);
+  EXPECT_EQ(a.store_version, b.store_version);
+  EXPECT_EQ(a.retry_after_us, b.retry_after_us);
 }
 
 // --- Round trips -------------------------------------------------------------
@@ -176,7 +172,7 @@ TEST(EnvelopeCodecProperty, TruncatedEnvelopesError) {
     const std::string bytes = RandomEnvelope(&rng).Encode();
     for (size_t len = 0; len < bytes.size(); ++len) {
       auto result = PlanEnvelope::Decode(std::string_view(bytes).substr(0, len));
-      EXPECT_FALSE(result.ok())
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
           << "prefix of " << len << "/" << bytes.size() << " decoded";
     }
   }
@@ -189,7 +185,7 @@ TEST(EnvelopeCodecProperty, TruncatedRepliesError) {
     for (size_t len = 0; len < bytes.size(); ++len) {
       auto result =
           EnvelopeReply::Decode(std::string_view(bytes).substr(0, len));
-      EXPECT_FALSE(result.ok())
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
           << "prefix of " << len << "/" << bytes.size() << " decoded";
     }
   }
@@ -217,59 +213,79 @@ TEST(EnvelopeCodecProperty, CorruptedBuffersNeverCrash) {
   EXPECT_FALSE(EnvelopeReply::Decode("").ok());
 }
 
-// --- Backward compatibility --------------------------------------------------
+// --- Legacy and unknown layouts ---------------------------------------------
 
-TEST(EnvelopeCodecCompat, DecodesV0Envelope) {
+// The v0 layouts, byte for byte: no sentinel or version, the envelope
+// headed by the initiator id and carrying accumulated results, the reply
+// headed by the status code and ending in a visited-peer count.
+std::string LegacyEnvelopeBytes(const PlanEnvelope& env,
+                                const std::vector<Binding>& results) {
+  BufferWriter w;
+  w.PutU32(env.initiator);
+  EncodePattern(env.pattern, &w);
+  w.PutString(env.filter_vql);
+  w.PutString(env.remaining.lo.bits());
+  w.PutString(env.remaining.hi.bits());
+  EncodeBindings(env.bindings, &w);
+  EncodeBindings(results, &w);
+  return w.Release();
+}
+
+std::string LegacyReplyBytes(const EnvelopeReply& reply,
+                             uint32_t peers_visited) {
+  BufferWriter w;
+  w.PutU8(reply.status_code);
+  w.PutString(reply.error);
+  EncodeBindings(reply.results, &w);
+  w.PutU32(peers_visited);
+  return w.Release();
+}
+
+TEST(EnvelopeCodecCompat, RejectsV0Envelope) {
   Rng rng(20260706);
   for (int i = 0; i < 50; ++i) {
     PlanEnvelope env = RandomEnvelope(&rng);
-    auto back = PlanEnvelope::Decode(env.EncodeV0());
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    // v0 carries only the original fields; the batching fields must come
-    // back as the single-walk defaults.
-    EXPECT_EQ(back->initiator, env.initiator);
-    EXPECT_EQ(back->pattern.ToString(), env.pattern.ToString());
-    EXPECT_EQ(back->filter_vql, env.filter_vql);
-    EXPECT_EQ(back->remaining.lo, env.remaining.lo);
-    EXPECT_EQ(back->remaining.hi, env.remaining.hi);
-    EXPECT_EQ(back->bindings, env.bindings);
-    EXPECT_EQ(back->results, env.results);
-    EXPECT_EQ(back->walk_id, 0u);
-    EXPECT_EQ(back->branch, 0u);
-    EXPECT_EQ(back->chunk_id, 0u);
-    EXPECT_EQ(back->chunk_count, 1u);
-    EXPECT_EQ(back->flags, 0u);
-    EXPECT_TRUE(back->segment_lo.empty());
+    auto back = PlanEnvelope::Decode(
+        LegacyEnvelopeBytes(env, RandomBindings(&rng, 5)));
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
   }
 }
 
-TEST(EnvelopeCodecCompat, DecodesV0Reply) {
+TEST(EnvelopeCodecCompat, RejectsV0Reply) {
   EnvelopeReply reply;
   reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
   reply.error = "stalled";
   reply.results = {{{"x", Value::Int(1)}}};
-  reply.peers_visited = 9;
-  auto back = EnvelopeReply::Decode(reply.EncodeV0());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->status_code, reply.status_code);
-  EXPECT_EQ(back->error, "stalled");
-  EXPECT_EQ(back->results, reply.results);
-  EXPECT_EQ(back->peers_visited, 9u);
-  EXPECT_EQ(back->kind, EnvelopeReply::Kind::kTerminal);
-  EXPECT_FALSE(back->has_coverage());
+  auto back = EnvelopeReply::Decode(LegacyReplyBytes(reply, 9));
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+
+  Rng rng(20260708);
+  for (int i = 0; i < 50; ++i) {
+    auto random =
+        EnvelopeReply::Decode(LegacyReplyBytes(RandomReply(&rng), 1));
+    EXPECT_EQ(random.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(EnvelopeCodecCompat, RejectsUnknownFutureVersion) {
   PlanEnvelope env;
   env.remaining = triple::AttrRange("age");
-  std::string bytes = env.Encode();
-  bytes[4] = 0x7F;  // Version byte right after the u32 sentinel.
-  EXPECT_FALSE(PlanEnvelope::Decode(bytes).ok());
-
   EnvelopeReply reply;
-  std::string reply_bytes = reply.Encode();
-  reply_bytes[1] = 0x7F;  // Version byte after the u8 sentinel.
-  EXPECT_FALSE(EnvelopeReply::Decode(reply_bytes).ok());
+  // Every version byte but the current one, behind a valid sentinel: the
+  // earlier layouts (0-2) and future ones alike.
+  for (int version : {0, 1, 2, 4, 0x7F, 0xFF}) {
+    std::string bytes = env.Encode();
+    bytes[4] = static_cast<char>(version);  // Right after the u32 sentinel.
+    EXPECT_EQ(PlanEnvelope::Decode(bytes).status().code(),
+              StatusCode::kCorruption)
+        << "envelope version " << version;
+
+    std::string reply_bytes = reply.Encode();
+    reply_bytes[1] = static_cast<char>(version);  // After the u8 sentinel.
+    EXPECT_EQ(EnvelopeReply::Decode(reply_bytes).status().code(),
+              StatusCode::kCorruption)
+        << "reply version " << version;
+  }
 }
 
 // --- Range splitting ---------------------------------------------------------
@@ -324,7 +340,6 @@ EnvelopeReply CoverageReply(const PlanEnvelope& env, const pgrid::Key& lo,
   reply.covered_lo = lo.bits();
   reply.covered_hi = hi.bits();
   reply.results = std::move(results);
-  reply.peers_visited = 1;
   return reply;
 }
 
@@ -343,7 +358,6 @@ TEST(EnvelopeCoordinatorTest, SplitsAndChunksLaunchFleet) {
   ASSERT_EQ(fleet.size(), 12u);
   size_t total_bindings = 0;
   for (const auto& env : fleet) {
-    EXPECT_TRUE(env.stream_partials());
     EXPECT_TRUE(env.pipelined());
     EXPECT_EQ(env.chunk_count, 3u);
     if (env.branch == 0) total_bindings += env.bindings.size();
@@ -421,7 +435,6 @@ TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
 TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   EnvelopeOptions options;
   options.fanout = 1;
-  options.stream_partials = false;
   options.walk_retries = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, "", range,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -594,11 +595,10 @@ TEST(LocalStoreBulkTest, BulkLoadStreamMatchesApplyStream) {
 
 // --- Prefix-compressed runs ------------------------------------------------
 
-LocalStoreOptions CompressedEngine(bool compress) {
+LocalStoreOptions CompressedEngine() {
   LocalStoreOptions o;
   o.memtable_flush_threshold = 8;
   o.max_runs = 4;
-  o.compress_runs = compress;
   o.restart_interval = 4;
   return o;
 }
@@ -614,24 +614,26 @@ TEST(LocalStoreCompressionTest, CompressedAndPlainScanIdentically) {
                                 1 + rng.NextBounded(3),
                                 rng.NextBounded(8) == 0));
   }
-  LocalStore plain(CompressedEngine(false));
-  LocalStore packed(CompressedEngine(true));
+  MapStoreModel model;
+  LocalStore packed(CompressedEngine());
   for (const auto& e : entries) {
-    plain.Apply(e);
+    model.Apply(e);
     packed.Apply(e);
   }
-  EXPECT_EQ(plain.GetAll(), packed.GetAll());
-  EXPECT_EQ(plain.Get(entries[7].key), packed.Get(entries[7].key));
-  EXPECT_EQ(plain.GetByPrefix(Key::FromBits("01010")),
-            packed.GetByPrefix(Key::FromBits("01010")));
-  // The compressed engine's runs must actually be compressed and smaller.
-  plain.Compact();
+  EXPECT_EQ(packed.GetAll(), model.GetAll());
+  EXPECT_EQ(packed.Get(entries[7].key),
+            model.GetRange(KeyRange{entries[7].key, entries[7].key}));
+  EXPECT_EQ(packed.GetByPrefix(Key::FromBits("01010")),
+            model.GetByPrefix(Key::FromBits("01010")));
+  // The runs must actually be smaller than the entries stored whole.
+  size_t whole_bytes = 0;
+  for (const Entry& e : model.GetAll()) whole_bytes += ApproxEntryBytes(e);
   packed.Compact();
-  EXPECT_LT(packed.resident_bytes(), plain.resident_bytes());
+  EXPECT_LT(packed.resident_bytes(), whole_bytes);
 }
 
 TEST(LocalStoreCompressionTest, CompressedScanIsAllocationFree) {
-  LocalStore store(CompressedEngine(true));
+  LocalStore store(CompressedEngine());
   for (int i = 0; i < 64; ++i) {
     std::string bits = "10";
     for (int b = 5; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
@@ -650,75 +652,175 @@ TEST(LocalStoreCompressionTest, CompressedScanIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "compressed-run scans must not touch the heap";
 }
 
-TEST(LocalStoreCompressionTest, OverlongKeysFallBackToPlainRuns) {
-  LocalStore store(CompressedEngine(true));
-  std::string long_bits(SortedRun::kMaxCompressedKeyBits + 8, '0');
-  store.Apply(MakeEntry(long_bits, "id", "p"));
-  store.Flush();
-  auto got = store.Get(Key::FromBits(long_bits));
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, "p");
+// Keys longer than the decoder's reassembly buffer are stored unshared and
+// read in place. This neighbourhood puts them amid short keys that share
+// long prefixes with them on both sides; the key right after the first
+// overlong key shares 150 bits with it, more than with anything before,
+// so its prefix can only come from the overlong key.
+const std::string kPrefix = "01" + std::string(100, '1');
+const std::string kOverlong = kPrefix + std::string(98, '0');  // 200 bits.
+
+std::vector<Entry> OverlongNeighbourhood() {
+  static_assert(run_format::kMaxCompressedKeyBits < 200,
+                "the neighbourhood needs keys beyond the buffer");
+  std::vector<Entry> entries = {
+      MakeEntry(std::string(128, '0'), "id", "far-before"),
+      MakeEntry(kPrefix + std::string(26, '0'), "id", "prefix-of-overlong"),
+      MakeEntry(kOverlong, "a", "overlong-a", 3),
+      MakeEntry(kOverlong, "b", "overlong-b", 4, /*deleted=*/true),
+      MakeEntry(kOverlong.substr(0, 150) + "1", "id", "shares-150"),
+      MakeEntry(kPrefix + "1" + std::string(25, '0'), "id", "shares-102"),
+      MakeEntry(kPrefix + "1" + std::string(97, '1'), "id", "overlong-2", 5),
+      MakeEntry("1" + std::string(127, '0'), "id", "far-after"),
+  };
+  return entries;  // Already in slot order.
 }
 
-TEST(LocalStoreCompressionTest, MixedFormatRunGroupCompactsCorrectly) {
-  // An overlong key forces one run into the plain fallback format; tiered
-  // compaction then merges that run with compressed neighbors. The merged
-  // run must carry every entry byte-identically and must stay plain — a
-  // compressed output would overflow the cursor's fixed key buffer on the
-  // overlong key. Later flushes of short keys still compress.
+std::vector<Entry> ScanRun(const SortedRun& run) {
+  std::vector<Entry> out;
+  SortedRun::Cursor cursor;
+  for (cursor.Seek(&run, ""); cursor.valid(); cursor.Advance()) {
+    out.push_back(cursor.view().ToEntry());
+  }
+  return out;
+}
+
+TEST(LocalStoreCompressionTest, OverlongKeyRunsProbeBothSides) {
+  const std::vector<Entry> entries = OverlongNeighbourhood();
+  // Absent slots right around the overlong keys.
+  const std::vector<std::pair<std::string, std::string>> absent = {
+      {kPrefix + std::string(26, '0'), "zz"},
+      {kPrefix + std::string(27, '0'), "id"},
+      {kOverlong.substr(0, 150), "id"},
+      {kOverlong, "0"},
+      {kOverlong, "c"},
+      {kOverlong + "0", "a"},
+      {kPrefix + "1" + std::string(25, '0'), "a"},
+  };
+  // Every restart spacing puts the overlong records both at restart
+  // points and mid-chain.
+  for (size_t interval = 1; interval <= 5; ++interval) {
+    SCOPED_TRACE("restart_interval " + std::to_string(interval));
+    const SortedRun run = SortedRun::Build(entries, interval);
+    EXPECT_EQ(ScanRun(run), entries);
+
+    uint64_t version = 0;
+    bool deleted = false;
+    for (const Entry& e : entries) {
+      ASSERT_TRUE(run.FindSlot(e.key.bits(), e.id, &version, &deleted))
+          << e.payload;
+      EXPECT_EQ(version, e.version);
+      EXPECT_EQ(deleted, e.deleted);
+      SortedRun::Cursor cursor;
+      cursor.Seek(&run, e.key.bits());
+      ASSERT_TRUE(cursor.valid());
+      EXPECT_EQ(cursor.view().key_bits, e.key.bits());
+    }
+    for (const auto& [bits, id] : absent) {
+      EXPECT_FALSE(run.FindSlot(bits, id, &version, &deleted))
+          << bits.size() << "-bit key, id " << id;
+    }
+
+    // A forward prober over the merged, sorted probe sequence.
+    std::vector<std::pair<std::string, std::string>> probes = absent;
+    for (const Entry& e : entries) probes.emplace_back(e.key.bits(), e.id);
+    std::sort(probes.begin(), probes.end());
+    SortedRun::Prober prober(&run);
+    for (const auto& [bits, id] : probes) {
+      bool want = false;
+      for (const Entry& e : entries) {
+        want = want || (e.key.bits() == bits && e.id == id);
+      }
+      EXPECT_EQ(prober.FindForward(bits, id, &version, &deleted), want)
+          << bits.size() << "-bit key, id " << id;
+    }
+
+    size_t visited = 0;
+    const uint64_t allocs = CountCalls([&] {
+      SortedRun::Cursor cursor;
+      for (cursor.Seek(&run, ""); cursor.valid(); cursor.Advance()) {
+        visited += cursor.view().key_bits.size() > 0 ? 1 : 0;
+      }
+    });
+    EXPECT_EQ(visited, entries.size());
+    EXPECT_EQ(allocs, 0u) << "overlong-key scans must not touch the heap";
+  }
+}
+
+TEST(LocalStoreCompressionTest, OverlongKeyScansLikeModel) {
+  LocalStore store(CompressedEngine());
+  MapStoreModel model;
+  const Entry overlong = MakeEntry(kOverlong, "id", "p");
+  store.Apply(overlong);
+  model.Apply(overlong);
+  store.Flush();
+  ASSERT_EQ(store.run_count(), 1u);
+  EXPECT_EQ(store.GetAll(), model.GetAll());
+  EXPECT_EQ(store.Get(overlong.key),
+            model.GetRange(KeyRange{overlong.key, overlong.key}));
+  EXPECT_EQ(CountCalls([&] {
+              store.ScanAll([](const EntryView&) { return true; });
+            }),
+            0u);
+}
+
+TEST(LocalStoreCompressionTest, OverlongKeyTierMergesWithShortKeys) {
+  // The overlong keys land in the third flush group; its arrival
+  // completes a tier_fanin == 3 same-class group, so the flush-triggered
+  // compaction merges them with two runs of short keys.
   LocalStoreOptions o;
   o.memtable_flush_threshold = 4;
   o.max_runs = 8;
   o.tier_fanin = 3;
   o.tier_growth = 4;
-  o.compress_runs = true;
   o.restart_interval = 4;
-  LocalStore packed(o);
-  LocalStoreOptions plain_opts = o;
-  plain_opts.compress_runs = false;
-  LocalStore plain(plain_opts);
-
-  const std::string long_bits(SortedRun::kMaxCompressedKeyBits + 8, '1');
-  std::vector<Entry> entries;
-  for (int i = 0; i < 11; ++i) {
+  LocalStore store(o);
+  MapStoreModel model;
+  auto apply = [&](const Entry& e) {
+    store.Apply(e);
+    model.Apply(e);
+  };
+  for (int i = 0; i < 8; ++i) {
     std::string bits = "0";
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    entries.push_back(MakeEntry(bits, "id", "p" + std::to_string(i)));
+    apply(MakeEntry(bits, "id", "p" + std::to_string(i)));
   }
-  // Lands in the third flush group: runs 0 and 1 are compressed, run 2
-  // falls back to plain, and its arrival completes a tier_fanin == 3
-  // same-class group, so the flush-triggered compaction merges all three.
-  entries.push_back(MakeEntry(long_bits, "id", "overlong"));
-  for (const Entry& e : entries) {
-    packed.Apply(e);
-    plain.Apply(e);
+  ASSERT_EQ(store.run_count(), 2u);
+  for (const Entry& e : OverlongNeighbourhood()) {
+    if (store.memtable_size() == 3) break;
+    apply(e);
   }
-  ASSERT_EQ(packed.run_count(), 1u);
-  const auto& backend = static_cast<const MemoryBackend&>(packed.backend());
-  EXPECT_FALSE(backend.run(0).compressed())
-      << "a merged run holding an overlong key must not be compressed";
-  EXPECT_EQ(packed.GetAll(), plain.GetAll());
-  ASSERT_EQ(packed.Get(Key::FromBits(long_bits)).size(), 1u);
-  EXPECT_EQ(packed.Get(Key::FromBits(long_bits))[0].payload, "overlong");
+  apply(MakeEntry(kOverlong + "1", "id", "overlong-3"));
+  ASSERT_EQ(store.run_count(), 1u);
+  EXPECT_EQ(store.GetAll(), model.GetAll());
+  EXPECT_EQ(store.Get(Key::FromBits(kOverlong)),
+            model.GetRange(KeyRange{Key::FromBits(kOverlong),
+                                    Key::FromBits(kOverlong)}));
 
-  // A fresh flush of short keys re-enters the compressed path even though
-  // the merged plain run sits below it.
+  // More flushes, then a full compaction folds everything together.
+  for (const Entry& e : OverlongNeighbourhood()) {
+    Entry newer = e;
+    newer.version += 10;
+    apply(newer);
+  }
   for (int i = 16; i < 20; ++i) {
     std::string bits = "1";
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    packed.Apply(MakeEntry(bits, "id", "q" + std::to_string(i)));
-    plain.Apply(MakeEntry(bits, "id", "q" + std::to_string(i)));
+    apply(MakeEntry(bits, "id", "q" + std::to_string(i)));
   }
-  ASSERT_EQ(packed.run_count(), 2u);
-  EXPECT_TRUE(backend.run(1).compressed());
-
-  // A full compaction folds the mixed pair again: still plain, no data
-  // lost, streams still identical to the never-compressed engine.
-  packed.Compact();
-  plain.Compact();
-  ASSERT_EQ(packed.run_count(), 1u);
-  EXPECT_FALSE(backend.run(0).compressed());
-  EXPECT_EQ(packed.GetAll(), plain.GetAll());
+  EXPECT_EQ(store.GetAll(), model.GetAll());
+  store.Compact();
+  ASSERT_EQ(store.run_count(), 1u);
+  EXPECT_EQ(store.GetAll(), model.GetAll());
+  EXPECT_EQ(store.live_size(), model.live_size());
+  for (const Entry& e : OverlongNeighbourhood()) {
+    EXPECT_EQ(store.Get(e.key), model.GetRange(KeyRange{e.key, e.key}))
+        << e.payload;
+  }
+  EXPECT_EQ(CountCalls([&] {
+              store.ScanAll([](const EntryView&) { return true; });
+            }),
+            0u);
 }
 
 // --- Size-tiered compaction ------------------------------------------------
@@ -741,24 +843,36 @@ TEST(LocalStoreTierTest, TieredCompactionBoundsRunsAndKeepsData) {
 }
 
 TEST(LocalStoreTierTest, TieredWritesLessThanFullMerge) {
-  auto run_workload = [](LocalStoreOptions::CompactionPolicy policy) {
-    LocalStoreOptions o;
-    o.memtable_flush_threshold = 8;
-    o.max_runs = 8;
-    o.compaction = policy;
-    LocalStore store(o);
-    for (int i = 0; i < 2048; ++i) {
-      std::string bits;
-      for (int b = 11; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-      store.Apply(MakeEntry(bits, "id", "payload-" + std::to_string(i)));
+  LocalStoreOptions o;
+  o.memtable_flush_threshold = 8;
+  o.max_runs = 8;
+  LocalStore store(o);
+  // The full-merge baseline over the same distinct-slot inserts: each
+  // flush writes its entries, and whenever more than max_runs runs exist
+  // every entry flushed so far is rewritten into one run.
+  size_t ingested = 0;
+  size_t flushed = 0;
+  size_t compacted = 0;
+  size_t runs = 0;
+  for (int i = 0; i < 2048; ++i) {
+    std::string bits;
+    for (int b = 11; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
+    const Entry e = MakeEntry(bits, "id", "payload-" + std::to_string(i));
+    store.Apply(e);
+    ingested += ApproxEntryBytes(e);
+    if ((i + 1) % o.memtable_flush_threshold != 0) continue;
+    flushed = ingested;
+    if (++runs > o.max_runs) {
+      compacted += flushed;
+      runs = 1;
     }
-    return store.write_stats();
-  };
-  const auto tiered =
-      run_workload(LocalStoreOptions::CompactionPolicy::kTiered);
-  const auto full =
-      run_workload(LocalStoreOptions::CompactionPolicy::kFullMerge);
-  EXPECT_LT(tiered.WriteAmplification(), full.WriteAmplification());
+  }
+  const double full_merge = static_cast<double>(flushed + compacted) /
+                            static_cast<double>(ingested);
+  const auto& tiered = store.write_stats();
+  EXPECT_EQ(tiered.ingested_bytes, ingested);
+  EXPECT_EQ(tiered.flushed_bytes, flushed);
+  EXPECT_LT(tiered.WriteAmplification(), full_merge);
   EXPECT_GT(tiered.WriteAmplification(), 0.0);
 }
 
@@ -772,7 +886,6 @@ TEST(LocalStoreChurnTest, InterleavedApplyBulkLoadExtractMatchesModel) {
     options.max_runs = 2 + rng.NextBounded(8);
     options.tier_fanin = 2 + rng.NextBounded(3);
     options.tier_growth = 2 + rng.NextBounded(3);
-    options.compress_runs = rng.NextBounded(2) == 0;
     options.restart_interval = 1 + rng.NextBounded(8);
     LocalStore store(options);
     MapStoreModel model;
@@ -781,6 +894,11 @@ TEST(LocalStoreChurnTest, InterleavedApplyBulkLoadExtractMatchesModel) {
       Entry e;
       std::string bits;
       for (int b = 0; b < 6; ++b) bits += rng.NextBounded(2) ? '1' : '0';
+      // Now and then a key beyond the decoder's reassembly buffer.
+      if (rng.NextBounded(16) == 0) {
+        bits += std::string(run_format::kMaxCompressedKeyBits, '0');
+        bits += rng.NextBounded(2) ? '1' : '0';
+      }
       e.key = Key::FromBits(bits);
       e.id = "id" + std::to_string(rng.NextBounded(6));
       e.version = 1 + rng.NextBounded(16);

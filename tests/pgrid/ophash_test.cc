@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -63,6 +64,12 @@ struct MonotonicityCase {
   uint64_t seed;
   std::string alphabet;
 };
+
+// Without this, gtest prints the raw bytes of the case, including the
+// string's heap pointer, so the test name would change from run to run.
+void PrintTo(const MonotonicityCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_alphabet" << c.alphabet.size();
+}
 
 class OpHashMonotonicity
     : public ::testing::TestWithParam<MonotonicityCase> {};

@@ -153,11 +153,11 @@ TEST(DiskRunTest, FindSlotMatchesEntries) {
 
 TEST(DiskRunTest, OverlongKeysRoundTrip) {
   // Keys beyond kMaxCompressedKeyBits are stored with shared == 0 (key
-  // aliases the block); no plain-format fallback exists on disk.
+  // aliases the block).
   MemEnv env;
   BlockCache cache(1 << 20);
   std::vector<Entry> entries;
-  const std::string base(SortedRun::kMaxCompressedKeyBits + 40, '0');
+  const std::string base(run_format::kMaxCompressedKeyBits + 40, '0');
   for (int i = 0; i < 20; ++i) {
     std::string bits = base;
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
@@ -359,14 +359,21 @@ LocalStoreOptions DiskOptions(storage::MemEnv* env, const std::string& dir,
   return o;
 }
 
-std::vector<Entry> RandomWorkload(LocalStore* store, uint64_t seed) {
+std::vector<Entry> RandomWorkload(LocalStore* store, uint64_t seed,
+                                  bool overlong_keys = false) {
   // Mixed Apply / BulkLoad / tombstone / Flush / Compact workload; returns
-  // nothing, the store is the artifact. Deterministic per seed.
+  // the store's whole slot set. Deterministic per seed. With
+  // `overlong_keys`, about one key in eight runs past the decoder's
+  // reassembly buffer.
   Rng rng(seed);
   std::vector<Entry> batch;
   for (int op = 0; op < 600; ++op) {
     std::string bits;
     for (int b = 0; b < 10; ++b) bits += rng.NextBounded(2) ? '1' : '0';
+    if (overlong_keys && rng.NextBounded(8) == 0) {
+      bits += std::string(run_format::kMaxCompressedKeyBits, '1');
+      bits += rng.NextBounded(2) ? '1' : '0';
+    }
     Entry e = MakeEntry(bits, "id" + std::to_string(rng.NextBounded(6)),
                         "pay" + std::to_string(op), 1 + rng.NextBounded(9),
                         rng.NextBounded(5) == 0);
@@ -387,21 +394,25 @@ std::vector<Entry> RandomWorkload(LocalStore* store, uint64_t seed) {
 }
 
 TEST(DiskBackendTest, MatchesMemoryBackendScanStream) {
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    LocalStoreOptions mem_options;
-    mem_options.memtable_flush_threshold = 16;
-    LocalStore mem_store(mem_options);
+  for (bool overlong : {false, true}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      LocalStoreOptions mem_options;
+      mem_options.memtable_flush_threshold = 16;
+      LocalStore mem_store(mem_options);
 
-    MemEnv env;
-    LocalStore disk_store(DiskOptions(&env, "db"));
+      MemEnv env;
+      LocalStore disk_store(DiskOptions(&env, "db"));
 
-    const std::vector<Entry> mem_all = RandomWorkload(&mem_store, seed);
-    const std::vector<Entry> disk_all = RandomWorkload(&disk_store, seed);
-    ASSERT_TRUE(disk_store.io_status().ok())
-        << disk_store.io_status().message();
-    ExpectSameEntries(disk_all, mem_all);
-    EXPECT_EQ(disk_store.live_size(), mem_store.live_size());
-    EXPECT_EQ(disk_store.total_size(), mem_store.total_size());
+      const std::vector<Entry> mem_all =
+          RandomWorkload(&mem_store, seed, overlong);
+      const std::vector<Entry> disk_all =
+          RandomWorkload(&disk_store, seed, overlong);
+      ASSERT_TRUE(disk_store.io_status().ok())
+          << disk_store.io_status().message();
+      ExpectSameEntries(disk_all, mem_all);
+      EXPECT_EQ(disk_store.live_size(), mem_store.live_size());
+      EXPECT_EQ(disk_store.total_size(), mem_store.total_size());
+    }
   }
 }
 
