@@ -62,18 +62,6 @@ Cost CostModel::IndexJoinProbe(double left_cardinality,
 }
 
 Cost CostModel::IndexJoinMigrate(double left_cardinality,
-                                 double peers_in_range) const {
-  const auto& net = catalog_->network();
-  double peers = std::max(1.0, peers_in_range);
-  double route_in = net.ExpectedLookupHops();
-  // The envelope (plan + bindings) hops along the partition; every hop
-  // ships the bindings.
-  return Cost{route_in + peers + 1,
-              (route_in + peers + 1) * net.hop_latency_us,
-              left_cardinality * (peers + 1)};
-}
-
-Cost CostModel::IndexJoinMigrate(double left_cardinality,
                                  double peers_in_range,
                                  const MigrateBatching& batching) const {
   const auto& net = catalog_->network();

@@ -74,16 +74,11 @@ class CostModel {
 
   /// Index join, plan-migration strategy (mutant query plan walking the
   /// right attribute's partition of `peers_in_range` peers carrying
-  /// `left_cardinality` bindings). The unbatched (v0) shape: one walk, all
-  /// bindings per hop, results accumulated into the terminal reply.
-  Cost IndexJoinMigrate(double left_cardinality,
-                        double peers_in_range) const;
-
-  /// Batch-aware Migrate cost (DESIGN.md §4): `batching.fanout` parallel
-  /// sub-walks over partition slices, bindings chunked into envelopes of
-  /// `batching.max_bindings_per_envelope`, streamed partial replies, and
-  /// optionally pipelined forwarding that overlaps each hop's network
-  /// latency with the local join.
+  /// `left_cardinality` bindings), batch-aware (DESIGN.md §4):
+  /// `batching.fanout` parallel sub-walks over partition slices, bindings
+  /// chunked into envelopes of `batching.max_bindings_per_envelope`,
+  /// streamed partial replies, and optionally pipelined forwarding that
+  /// overlaps each hop's network latency with the local join.
   Cost IndexJoinMigrate(double left_cardinality, double peers_in_range,
                         const MigrateBatching& batching) const;
 

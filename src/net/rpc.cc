@@ -30,8 +30,12 @@ uint64_t RpcManager::SendRequest(PeerId dst, MessageType type,
 
 uint64_t RpcManager::RegisterPending(sim::SimTime timeout,
                                      ReplyCallback callback) {
-  uint64_t id = next_request_id_++;
-  pending_.emplace(id, Pending{std::move(callback)});
+  return Register(next_request_id_++, timeout, std::move(callback));
+}
+
+uint64_t RpcManager::Register(uint64_t id, sim::SimTime timeout,
+                              ReplyCallback callback) {
+  pending_[id].callback = std::move(callback);
   if (timeout > 0) ArmTimeout(id, timeout);
   return id;
 }
@@ -83,11 +87,26 @@ bool RpcManager::HandleReply(const Message& msg) {
                          << MessageTypeName(msg.type);
     return false;
   }
+  if (it->second.multi) {
+    if (observer_) observer_(msg.src, /*ok=*/true);
+    // Keeps the entry's typed side alive while it feeds itself.
+    std::shared_ptr<MultiReply> multi = it->second.multi;
+    return multi->OnWire(this, msg);
+  }
   ReplyCallback cb = std::move(it->second.callback);
   pending_.erase(it);
   if (observer_) observer_(msg.src, /*ok=*/true);
   cb(Status::OK(), msg);
   return true;
+}
+
+uint64_t RpcManager::NewBranch() {
+  // The splitmix64 finalizer: a bijection, so distinct (peer, counter)
+  // inputs give distinct ids.
+  uint64_t z = (uint64_t{self_} << 32) + ++branches_minted_;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
 }
 
 void RpcManager::Cancel(uint64_t request_id) { pending_.erase(request_id); }

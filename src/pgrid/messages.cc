@@ -27,6 +27,23 @@ Result<KeyRange> DecodeRange(BufferReader* r) {
   return range;
 }
 
+void EncodeBranches(const std::vector<uint64_t>& branches, BufferWriter* w) {
+  w->PutVarint(branches.size());
+  for (uint64_t b : branches) w->PutU64(b);
+}
+
+Result<std::vector<uint64_t>> DecodeBranches(BufferReader* r) {
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
+  if (n > r->remaining() / 8) {
+    return Status::Corruption("branch list longer than its message");
+  }
+  std::vector<uint64_t> branches(n);
+  for (uint64_t& b : branches) {
+    UNISTORE_ASSIGN_OR_RETURN(b, r->GetU64());
+  }
+  return branches;
+}
+
 }  // namespace
 
 void RefsBlock::Encode(BufferWriter* w) const {
@@ -147,6 +164,7 @@ Result<InsertReply> InsertReply::Decode(std::string_view bytes) {
 std::string BulkInsertRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
+  w.PutU64(branch);
   EncodeEntries(entries, &w);
   return w.Release();
 }
@@ -155,15 +173,17 @@ Result<BulkInsertRequest> BulkInsertRequest::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   BulkInsertRequest req;
   UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(req.branch, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(req.entries, DecodeEntries(&r));
   return req;
 }
 
 std::string BulkInsertReply::Encode() const {
   BufferWriter w;
+  w.PutU64(branch);
   w.PutU32(applied);
   w.PutU32(dead_ends);
-  w.PutU32(forwards);
+  EncodeBranches(children, &w);
   w.PutString(peer_path);
   return w.Release();
 }
@@ -171,9 +191,10 @@ std::string BulkInsertReply::Encode() const {
 Result<BulkInsertReply> BulkInsertReply::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   BulkInsertReply reply;
+  UNISTORE_ASSIGN_OR_RETURN(reply.branch, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(reply.applied, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(reply.forwards, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(reply.children, DecodeBranches(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.peer_path, r.GetString());
   return reply;
 }
@@ -181,6 +202,7 @@ Result<BulkInsertReply> BulkInsertReply::Decode(std::string_view bytes) {
 std::string RangeSeqRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
+  w.PutU64(branch);
   EncodeRange(range, &w);
   w.PutU32(limit);
   w.PutU32(collected);
@@ -191,6 +213,7 @@ Result<RangeSeqRequest> RangeSeqRequest::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   RangeSeqRequest req;
   UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(req.branch, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(req.range, DecodeRange(&r));
   UNISTORE_ASSIGN_OR_RETURN(req.limit, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(req.collected, r.GetU32());
@@ -206,8 +229,9 @@ std::string RangeSeqReply::Encode() const {
 std::string RangeSeqReply::EncodeStreamed(uint64_t count,
                                           EntryStreamFn emit) const {
   BufferWriter w;
+  w.PutU64(branch);
   EncodeEntryStream(count, &w, emit);
-  w.PutBool(will_forward);
+  EncodeBranches(children, &w);
   w.PutString(peer_path);
   w.PutU8(status_code);
   w.PutString(error);
@@ -217,8 +241,9 @@ std::string RangeSeqReply::EncodeStreamed(uint64_t count,
 Result<RangeSeqReply> RangeSeqReply::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   RangeSeqReply reply;
+  UNISTORE_ASSIGN_OR_RETURN(reply.branch, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(reply.entries, DecodeEntries(&r));
-  UNISTORE_ASSIGN_OR_RETURN(reply.will_forward, r.GetBool());
+  UNISTORE_ASSIGN_OR_RETURN(reply.children, DecodeBranches(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.peer_path, r.GetString());
   UNISTORE_ASSIGN_OR_RETURN(reply.status_code, r.GetU8());
   UNISTORE_ASSIGN_OR_RETURN(reply.error, r.GetString());
@@ -228,6 +253,7 @@ Result<RangeSeqReply> RangeSeqReply::Decode(std::string_view bytes) {
 std::string RangeShowerRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
+  w.PutU64(branch);
   EncodeRange(range, &w);
   return w.Release();
 }
@@ -237,6 +263,7 @@ Result<RangeShowerRequest> RangeShowerRequest::Decode(
   BufferReader r(bytes);
   RangeShowerRequest req;
   UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(req.branch, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(req.range, DecodeRange(&r));
   return req;
 }
@@ -250,8 +277,9 @@ std::string RangeShowerReply::Encode() const {
 std::string RangeShowerReply::EncodeStreamed(uint64_t count,
                                              EntryStreamFn emit) const {
   BufferWriter w;
+  w.PutU64(branch);
   EncodeEntryStream(count, &w, emit);
-  w.PutU32(forwards);
+  EncodeBranches(children, &w);
   w.PutU32(unreachable);
   w.PutString(peer_path);
   return w.Release();
@@ -260,8 +288,9 @@ std::string RangeShowerReply::EncodeStreamed(uint64_t count,
 Result<RangeShowerReply> RangeShowerReply::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   RangeShowerReply reply;
+  UNISTORE_ASSIGN_OR_RETURN(reply.branch, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(reply.entries, DecodeEntries(&r));
-  UNISTORE_ASSIGN_OR_RETURN(reply.forwards, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(reply.children, DecodeBranches(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.unreachable, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(reply.peer_path, r.GetString());
   return reply;

@@ -97,14 +97,15 @@ struct InsertReply {
 /// receiving peer splits the batch again: entries it is responsible for
 /// are BulkLoad-ed (and replica-pushed) locally, the rest re-group by
 /// *their* next hop and forward under the same request id. Every received
-/// BulkInsert produces exactly one reply to the initiator carrying how
-/// many entries were applied here, how many hit a routing dead end, and
-/// how many sub-requests were spawned — the initiator runs
-/// shower-scan-style accounting (outstanding += forwards - 1) until all
-/// sub-walks report, then retries the whole (idempotent, versioned) batch
-/// if anything failed.
+/// BulkInsert produces exactly one reply to the initiator carrying its
+/// branch id, how many entries were applied here, how many hit a routing
+/// dead end, and the branch ids of the sub-requests it spawned. The
+/// initiator's multi-reply entry (net::RpcManager) closes the branch and
+/// opens the children until no branch is open, then retries the whole
+/// (idempotent, versioned) batch if anything failed.
 struct BulkInsertRequest {
   PeerId initiator = net::kNoPeer;
+  uint64_t branch = 0;  ///< Minted by the sender (RpcManager::NewBranch).
   std::vector<Entry> entries;
 
   std::string Encode() const;
@@ -112,9 +113,10 @@ struct BulkInsertRequest {
 };
 
 struct BulkInsertReply {
+  uint64_t branch = 0;      ///< The answered request's branch.
   uint32_t applied = 0;     ///< Entries stored at this peer.
   uint32_t dead_ends = 0;   ///< Entries dropped for lack of a route.
-  uint32_t forwards = 0;    ///< Sub-requests this peer spawned.
+  std::vector<uint64_t> children;  ///< Branches of the spawned sub-requests.
   std::string peer_path;
 
   std::string Encode() const;
@@ -123,6 +125,7 @@ struct BulkInsertReply {
 
 struct RangeSeqRequest {
   PeerId initiator = net::kNoPeer;
+  uint64_t branch = 0;  ///< The walk step; routing hops keep it.
   KeyRange range;
   /// Stop the walk once this many entries were collected (0 = unlimited).
   /// Because entries arrive in key order, this implements early-terminating
@@ -135,11 +138,12 @@ struct RangeSeqRequest {
   static Result<RangeSeqRequest> Decode(std::string_view bytes);
 };
 
-/// One partial result of the sequential walk. `will_forward` tells the
-/// initiator whether another partial reply is coming.
+/// One partial result of the sequential walk. `children` holds the next
+/// walk step's branch when another partial reply is coming.
 struct RangeSeqReply {
+  uint64_t branch = 0;  ///< The answered walk step.
   std::vector<Entry> entries;
-  bool will_forward = false;
+  std::vector<uint64_t> children;
   std::string peer_path;
   uint8_t status_code = 0;
   std::string error;
@@ -152,21 +156,22 @@ struct RangeSeqReply {
 
 struct RangeShowerRequest {
   PeerId initiator = net::kNoPeer;
+  uint64_t branch = 0;  ///< Minted by the sender (RpcManager::NewBranch).
   KeyRange range;
 
   std::string Encode() const;
   static Result<RangeShowerRequest> Decode(std::string_view bytes);
 };
 
-/// One branch result of the shower multicast. `forwards` = number of
-/// sub-requests this peer spawned; the initiator tracks
-/// outstanding += forwards - 1 until it reaches zero. `unreachable` counts
-/// range branches the peer could not forward to (no live reference), so
-/// the initiator can flag an incomplete result instead of silently
-/// returning partial data.
+/// One branch result of the shower multicast. `children` = the branches
+/// of the sub-requests this peer spawned. `unreachable` counts range
+/// branches the peer could not forward to (no live reference), so the
+/// initiator can flag an incomplete result instead of silently returning
+/// partial data.
 struct RangeShowerReply {
+  uint64_t branch = 0;  ///< The answered request's branch.
   std::vector<Entry> entries;
-  uint32_t forwards = 0;
+  std::vector<uint64_t> children;
   uint32_t unreachable = 0;
   std::string peer_path;
 

@@ -43,6 +43,41 @@ uint64_t CountEntries(ScanFn&& scan) {
   return count;
 }
 
+// A failure other than a timeout comes only from RpcManager::FailAll, the
+// restart drain: the operation ends with it, nothing retries or resumes.
+bool Drained(const Status& status) {
+  return !status.ok() && !status.IsTimeout();
+}
+
+bool HasGap(const RangeSeqReply& reply) { return reply.status_code != 0; }
+bool HasGap(const RangeShowerReply& reply) { return reply.unreachable > 0; }
+
+// A range scan's multi-reply callback (either strategy): gathers the
+// partials, then answers once — complete unless a partial reported a gap
+// or the scan timed out (rows so far kept), or the drain's status.
+template <typename Reply>
+net::RpcManager::PartialCallback<Reply> CollectRange(
+    Peer::RangeCallback callback) {
+  return [callback = std::move(callback), result = RangeResult()](
+             const Status& status, uint32_t hops,
+             const Reply* reply) mutable {
+    if (reply != nullptr) {
+      result.entries.insert(result.entries.end(), reply->entries.begin(),
+                            reply->entries.end());
+      result.peers_contacted++;
+      result.max_hops = std::max(result.max_hops, hops);
+      if (HasGap(*reply)) result.complete = false;
+      return;
+    }
+    if (Drained(status)) {
+      callback(status);
+      return;
+    }
+    if (!status.ok()) result.complete = false;
+    callback(std::move(result));
+  };
+}
+
 }  // namespace
 
 Peer::Peer(net::Transport* transport, uint64_t rng_seed, PeerOptions options)
@@ -104,11 +139,6 @@ void Peer::OnMessage(const Message& msg) {
     case MessageType::kBulkInsert:
       HandleBulkInsert(msg);
       return;
-    case MessageType::kBulkInsertReply: {
-      auto reply = BulkInsertReply::Decode(msg.payload);
-      if (reply.ok()) OnBulkInsertReply(msg.request_id, *reply);
-      return;
-    }
     case MessageType::kRangeSeq:
       HandleRangeSeq(msg);
       return;
@@ -139,18 +169,11 @@ void Peer::OnMessage(const Message& msg) {
     case MessageType::kRefUpdate:
       HandleRefUpdate(msg);
       return;
-    case MessageType::kRangeSeqReply: {
-      auto reply = RangeSeqReply::Decode(msg.payload);
-      if (reply.ok()) OnSeqPartial(msg.request_id, msg.hops, *reply);
-      return;
-    }
-    case MessageType::kRangeShowerReply: {
-      auto reply = RangeShowerReply::Decode(msg.payload);
-      if (reply.ok()) OnShowerPartial(msg.request_id, msg.hops, *reply);
-      return;
-    }
     case MessageType::kLookupReply:
     case MessageType::kInsertReply:
+    case MessageType::kBulkInsertReply:
+    case MessageType::kRangeSeqReply:
+    case MessageType::kRangeShowerReply:
     case MessageType::kExchangeReply:
     case MessageType::kManifestPullReply:
     case MessageType::kRunFetchReply:
@@ -289,44 +312,35 @@ void Peer::DoLookup(const Key& key, LookupMode mode, RetryBudget budget,
       options_.request_timeout,
       [this, key, mode, budget, callback](const Status& status,
                                           const Message& msg) mutable {
-        if (!status.ok()) {
-          if (budget.Spend(NowUs())) {
-            transport_->CountRetry(kLookupRetryPolicy);
-            RetryAfter(budget.NextDelayUs(&rng_),
-                       [this, key, mode, budget, callback]() {
-                         DoLookup(key, mode, budget, callback);
-                       });
-          } else {
-            callback(status);
+        Status err = status;  // Failed request or reported dead end.
+        if (status.ok()) {
+          auto reply = LookupReply::Decode(msg.payload);
+          if (!reply.ok()) {
+            callback(reply.status());
+            return;
           }
-          return;
-        }
-        auto reply = LookupReply::Decode(msg.payload);
-        if (!reply.ok()) {
-          callback(reply.status());
-          return;
-        }
-        if (reply->status_code != 0) {
-          Status err(static_cast<StatusCode>(reply->status_code),
-                     reply->error);
-          if (budget.Spend(NowUs())) {
-            transport_->CountRetry(kLookupRetryPolicy);
-            RetryAfter(budget.NextDelayUs(&rng_),
-                       [this, key, mode, budget, callback]() {
-                         DoLookup(key, mode, budget, callback);
-                       });
-          } else {
-            callback(err);
+          if (reply->status_code == 0) {
+            UpdateHotOwner(*reply);
+            LookupResult result;
+            result.entries = std::move(reply->entries);
+            result.hops = msg.hops;
+            result.owner = reply->owner;
+            result.owner_path = std::move(reply->owner_path);
+            callback(std::move(result));
+            return;
           }
-          return;
+          err = Status(static_cast<StatusCode>(reply->status_code),
+                       reply->error);
         }
-        UpdateHotOwner(*reply);
-        LookupResult result;
-        result.entries = std::move(reply->entries);
-        result.hops = msg.hops;
-        result.owner = reply->owner;
-        result.owner_path = std::move(reply->owner_path);
-        callback(std::move(result));
+        if (budget.Spend(NowUs())) {
+          transport_->CountRetry(kLookupRetryPolicy);
+          RetryAfter(budget.NextDelayUs(&rng_),
+                     [this, key, mode, budget, callback]() {
+                       DoLookup(key, mode, budget, callback);
+                     });
+        } else {
+          callback(err);
+        }
       });
 
   Message msg;
@@ -509,38 +523,29 @@ void Peer::DoInsert(Entry entry, RetryBudget budget, StatusCallback callback) {
       options_.request_timeout,
       [this, entry, budget, callback](const Status& status,
                                       const Message& msg) mutable {
-        if (!status.ok()) {
-          if (budget.Spend(NowUs())) {
-            transport_->CountRetry(kInsertRetryPolicy);
-            RetryAfter(budget.NextDelayUs(&rng_),
-                       [this, entry, budget, callback]() {
-                         DoInsert(entry, budget, callback);
-                       });
-          } else {
-            callback(status);
+        Status err = status;  // Failed request or reported dead end.
+        if (status.ok()) {
+          auto reply = InsertReply::Decode(msg.payload);
+          if (!reply.ok()) {
+            callback(reply.status());
+            return;
           }
-          return;
-        }
-        auto reply = InsertReply::Decode(msg.payload);
-        if (!reply.ok()) {
-          callback(reply.status());
-          return;
-        }
-        if (reply->status_code != 0) {
-          Status err(static_cast<StatusCode>(reply->status_code),
-                     reply->error);
-          if (budget.Spend(NowUs())) {
-            transport_->CountRetry(kInsertRetryPolicy);
-            RetryAfter(budget.NextDelayUs(&rng_),
-                       [this, entry, budget, callback]() {
-                         DoInsert(entry, budget, callback);
-                       });
-          } else {
-            callback(err);
+          if (reply->status_code == 0) {
+            callback(Status::OK());
+            return;
           }
-          return;
+          err = Status(static_cast<StatusCode>(reply->status_code),
+                       reply->error);
         }
-        callback(Status::OK());
+        if (budget.Spend(NowUs())) {
+          transport_->CountRetry(kInsertRetryPolicy);
+          RetryAfter(budget.NextDelayUs(&rng_),
+                     [this, entry, budget, callback]() {
+                       DoInsert(entry, budget, callback);
+                     });
+        } else {
+          callback(err);
+        }
       });
 
   Message msg;
@@ -605,32 +610,53 @@ void Peer::DoInsertBatch(std::vector<Entry> entries, RetryBudget budget,
     callback(Status::OK());
     return;
   }
-  const uint64_t id = next_scan_id_++;
-  BulkState state;
-  state.callback = std::move(callback);
-  state.entries = entries;  // Copy retained for idempotent retries.
-  state.budget = budget;
-  bulk_inserts_.emplace(id, std::move(state));
-
-  transport_->scheduler()->ScheduleAfter(
-      options_.scan_timeout, id_, id_, [this, id]() {
-        auto it = bulk_inserts_.find(id);
-        if (it != bulk_inserts_.end()) {
-          FinishBulkInsert(id, /*complete=*/false);
+  const uint64_t id = rpc_.RegisterMultiReply<BulkInsertReply>(
+      options_.scan_timeout,
+      [this, retained = entries,  // Copy kept for idempotent retries.
+       budget, callback = std::move(callback), dead_ends = uint32_t{0}](
+          const Status& status, uint32_t,
+          const BulkInsertReply* reply) mutable {
+        if (reply != nullptr) {
+          dead_ends += reply->dead_ends;
+          return;
         }
+        if ((status.ok() && dead_ends == 0) || Drained(status)) {
+          callback(status);
+          return;
+        }
+        if (budget.Spend(NowUs())) {
+          // Versioned upserts make re-delivery idempotent, so the whole
+          // batch retries (stragglers of the first walk are absorbed as
+          // no-ops).
+          transport_->CountRetry(kBulkRetryPolicy);
+          RetryAfter(budget.NextDelayUs(&rng_),
+                     [this, epoch = restarts_, entries = std::move(retained),
+                      budget, callback = std::move(callback)]() mutable {
+                       // A restart during the backoff found no entry of
+                       // this batch to drain.
+                       if (epoch != restarts_) {
+                         callback(Status::Unavailable("peer ", id_,
+                                                      ": restarted"));
+                         return;
+                       }
+                       DoInsertBatch(std::move(entries), budget,
+                                     std::move(callback));
+                     });
+          return;
+        }
+        callback(Status::Unavailable(
+            "peer ", id_, ": bulk insert incomplete (", dead_ends,
+            " dead ends", status.ok() ? "" : ", timed out", ")"));
       });
-
-  const BulkDispatch d = DispatchBulk(std::move(entries), id_, id, 0);
-  BulkState& s = bulk_inserts_.find(id)->second;
-  s.outstanding = d.forwards;
-  s.dead_ends = d.dead_ends;
-  if (s.outstanding == 0) FinishBulkInsert(id, /*complete=*/true);
+  rpc_.HandleLocalReply(id, 0,
+                        DispatchBulk(std::move(entries), id_, id, id, 0));
 }
 
-Peer::BulkDispatch Peer::DispatchBulk(std::vector<Entry> entries,
-                                      PeerId initiator, uint64_t request_id,
-                                      uint32_t hops) {
-  BulkDispatch d;
+BulkInsertReply Peer::DispatchBulk(std::vector<Entry> entries,
+                                   PeerId initiator, uint64_t request_id,
+                                   uint64_t branch, uint32_t hops) {
+  BulkInsertReply d;
+  d.branch = branch;
   std::vector<Entry> mine;
   std::map<PeerId, std::vector<Entry>> groups;
   for (Entry& e : entries) {
@@ -656,6 +682,8 @@ Peer::BulkDispatch Peer::DispatchBulk(std::vector<Entry> entries,
   for (auto& [next, group] : groups) {
     BulkInsertRequest sub;
     sub.initiator = initiator;
+    sub.branch = rpc_.NewBranch();
+    d.children.push_back(sub.branch);
     sub.entries = std::move(group);
     Message msg;
     msg.type = MessageType::kBulkInsert;
@@ -665,7 +693,6 @@ Peer::BulkDispatch Peer::DispatchBulk(std::vector<Entry> entries,
     msg.hops = hops + 1;
     msg.payload = sub.Encode();
     transport_->Send(std::move(msg));
-    ++d.forwards;
   }
   return d;
 }
@@ -673,56 +700,12 @@ Peer::BulkDispatch Peer::DispatchBulk(std::vector<Entry> entries,
 void Peer::HandleBulkInsert(const Message& msg) {
   auto req = BulkInsertRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
-  const BulkDispatch d =
+  BulkInsertReply reply =
       DispatchBulk(std::move(req->entries), req->initiator, msg.request_id,
-                   msg.hops);
-  BulkInsertReply reply;
-  reply.applied = d.applied;
-  reply.dead_ends = d.dead_ends;
-  reply.forwards = d.forwards;
+                   req->branch, msg.hops);
   reply.peer_path = path_.bits();
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
                MessageType::kBulkInsertReply, reply.Encode());
-}
-
-void Peer::OnBulkInsertReply(uint64_t request_id,
-                             const BulkInsertReply& reply) {
-  auto it = bulk_inserts_.find(request_id);
-  if (it == bulk_inserts_.end()) return;  // Finished or already retried.
-  BulkState& state = it->second;
-  state.dead_ends += reply.dead_ends;
-  state.outstanding += reply.forwards;
-  state.outstanding -= 1;
-  if (state.outstanding == 0) {
-    FinishBulkInsert(request_id, /*complete=*/true);
-  }
-}
-
-void Peer::FinishBulkInsert(uint64_t request_id, bool complete) {
-  auto it = bulk_inserts_.find(request_id);
-  if (it == bulk_inserts_.end()) return;
-  BulkState state = std::move(it->second);
-  bulk_inserts_.erase(it);
-  if (complete && state.dead_ends == 0) {
-    state.callback(Status::OK());
-    return;
-  }
-  if (state.budget.Spend(NowUs())) {
-    // Versioned upserts make re-delivery idempotent, so the whole batch
-    // retries (stragglers of the first walk are absorbed as no-ops).
-    transport_->CountRetry(kBulkRetryPolicy);
-    RetryAfter(state.budget.NextDelayUs(&rng_),
-               [this, entries = std::move(state.entries),
-                budget = state.budget,
-                callback = std::move(state.callback)]() mutable {
-                 DoInsertBatch(std::move(entries), budget,
-                               std::move(callback));
-               });
-    return;
-  }
-  state.callback(Status::Unavailable(
-      "peer ", id_, ": bulk insert incomplete (", state.dead_ends,
-      " dead ends", complete ? "" : ", timed out", ")"));
 }
 
 // ---------------------------------------------------------------------------
@@ -896,9 +879,8 @@ void Peer::PullFromReplica(StatusCallback callback) {
     callback(Status::NotFound("peer ", id_, ": no replicas to pull from"));
     return;
   }
-  const uint64_t repair_id = next_repair_id_++;
-  RepairState state;
-  state.callback = std::move(callback);
+  auto st = std::make_shared<RepairState>();
+  st->callback = std::move(callback);
   // The chunk budget folds both bounds of the repair into one RetryPolicy:
   // attempts reset per received chunk (transfer resume), while the
   // deadline is anchored here and survives donor failovers — the bound a
@@ -908,58 +890,46 @@ void Peer::PullFromReplica(StatusCallback callback) {
   policy.deadline_us = options_.repair_deadline > 0
                            ? static_cast<uint64_t>(options_.repair_deadline)
                            : 0;
-  state.chunk_budget = RetryBudget(policy, NowUs());
-  state.candidates = replicas;
+  st->chunk_budget = RetryBudget(policy, NowUs());
+  st->candidates = replicas;
   // One shuffle from this peer's own stream fixes the whole failover
   // order up front: which donors get tried, and in which sequence, is a
   // deterministic function of (seed, peer, call count) — never of which
   // RPCs happen to time out first.
-  rng_.Shuffle(&state.candidates);
-  repairs_.emplace(repair_id, std::move(state));
-  RepairTryNextCandidate(repair_id);
+  rng_.Shuffle(&st->candidates);
+  RepairTryNextCandidate(st);
 }
 
-void Peer::RepairTryNextCandidate(uint64_t repair_id) {
-  auto it = repairs_.find(repair_id);
-  if (it == repairs_.end()) return;
-  RepairState& st = it->second;
-  if (st.chunk_budget.DeadlinePassed(NowUs())) {
-    FinishRepair(repair_id,
-                 Status::Timeout("peer ", id_, ": replica repair exceeded ",
+void Peer::RepairTryNextCandidate(const Repair& st) {
+  if (st->chunk_budget.DeadlinePassed(NowUs())) {
+    st->callback(Status::Timeout("peer ", id_, ": replica repair exceeded ",
                                  options_.repair_deadline,
                                  "us total deadline"));
     return;
   }
-  if (st.donor != net::kNoPeer) ++repair_failovers_;
-  if (st.next_candidate >= st.candidates.size()) {
-    FinishRepair(repair_id,
-                 Status::Unavailable("peer ", id_, ": replica repair failed "
-                                     "against all ", st.candidates.size(),
-                                     " replicas"));
+  if (st->donor != net::kNoPeer) ++repair_failovers_;
+  if (st->next_candidate >= st->candidates.size()) {
+    st->callback(Status::Unavailable("peer ", id_,
+                                     ": replica repair failed against all ",
+                                     st->candidates.size(), " replicas"));
     return;
   }
-  st.donor = st.candidates[st.next_candidate++];
-  st.missing.clear();
-  st.memtable_pending = false;
-  st.pending.clear();
-  st.manifest_restarts_left = 1;
-  RepairPullManifest(repair_id);
+  st->donor = st->candidates[st->next_candidate++];
+  st->manifest_restarts_left = 1;
+  RepairPullManifest(st);
 }
 
-void Peer::RepairPullManifest(uint64_t repair_id) {
-  RepairState& st = repairs_.find(repair_id)->second;
+void Peer::RepairPullManifest(const Repair& st) {
   rpc_.SendRequest(
-      st.donor, MessageType::kManifestPull, "", options_.request_timeout,
-      [this, repair_id](const Status& status, const Message& msg) {
-        auto it = repairs_.find(repair_id);
-        if (it == repairs_.end()) return;
-        if (!status.ok()) {
-          RepairTryNextCandidate(repair_id);
+      st->donor, MessageType::kManifestPull, "", options_.request_timeout,
+      [this, st](const Status& status, const Message& msg) {
+        if (Drained(status)) {
+          st->callback(status);
           return;
         }
         auto manifest = ManifestPullReply::Decode(msg.payload);
-        if (!manifest.ok()) {
-          RepairTryNextCandidate(repair_id);
+        if (!status.ok() || !manifest.ok()) {
+          RepairTryNextCandidate(st);
           return;
         }
         // A donor answering from a foreign region departed the group
@@ -968,19 +938,16 @@ void Peer::RepairPullManifest(uint64_t repair_id) {
         // into this store. Unlink it and fail over.
         if (!ValidBits(manifest->donor_path) ||
             Key::FromBits(manifest->donor_path) != path_) {
-          routing_.RemoveReplica(it->second.donor);
-          RepairTryNextCandidate(repair_id);
+          routing_.RemoveReplica(st->donor);
+          RepairTryNextCandidate(st);
           return;
         }
-        RepairOnManifest(repair_id, *manifest);
+        RepairOnManifest(st, *manifest);
       });
 }
 
-void Peer::RepairOnManifest(uint64_t repair_id,
+void Peer::RepairOnManifest(const Repair& st,
                             const ManifestPullReply& manifest) {
-  auto it = repairs_.find(repair_id);
-  if (it == repairs_.end()) return;
-  RepairState& st = it->second;
   // The delta: donor runs with no local run of identical content. Ids are
   // per-peer, so content — (entry count, checksum) — is the match key; a
   // multiset because duplicated batches legitimately produce equal runs.
@@ -988,116 +955,111 @@ void Peer::RepairOnManifest(uint64_t repair_id,
   for (const RunSummary& run : store_.RunSummaries()) {
     local.insert({run.entry_count, run.checksum});
   }
-  st.missing.clear();
+  st->missing.clear();
   for (const RunSummary& run : manifest.runs) {
     auto match = local.find({run.entry_count, run.checksum});
     if (match != local.end()) {
       local.erase(match);
       ++repair_runs_matched_;
     } else {
-      st.missing.push_back(run);
+      st->missing.push_back(run);
     }
   }
-  st.memtable_pending = manifest.memtable_entries > 0;
-  RepairFetchNext(repair_id);
+  st->memtable_pending = manifest.memtable_entries > 0;
+  RepairFetchNext(st);
 }
 
-void Peer::RepairFetchNext(uint64_t repair_id) {
-  auto it = repairs_.find(repair_id);
-  if (it == repairs_.end()) return;
-  RepairState& st = it->second;
-  if (!st.missing.empty()) {
-    st.current = st.missing.front();
-    st.missing.pop_front();
-  } else if (st.memtable_pending) {
+void Peer::RepairFetchNext(const Repair& st) {
+  if (!st->missing.empty()) {
+    st->current = st->missing.front();
+    st->missing.pop_front();
+  } else if (st->memtable_pending) {
     // Fallback entry stream: the donor's memtable-resident slots have no
     // run file, so they ship as a chunked pseudo run (still bounded,
     // still resumable; no whole-run checksum — the memtable is mutable).
-    st.memtable_pending = false;
-    st.current = RunSummary{kMemtableRunId, 0, 0};
+    st->memtable_pending = false;
+    st->current = RunSummary{kMemtableRunId, 0, 0};
   } else {
-    FinishRepair(repair_id, Status::OK());
+    st->callback(Status::OK());
     return;
   }
-  st.next_entry = 0;
-  st.crc = RunChecksum{};
-  st.pending.clear();
-  st.chunk_budget.ResetAttempts();
-  RepairRequestChunk(repair_id);
+  st->next_entry = 0;
+  st->crc = RunChecksum{};
+  st->pending.clear();
+  st->chunk_budget.ResetAttempts();
+  RepairRequestChunk(st);
 }
 
-void Peer::RepairRequestChunk(uint64_t repair_id) {
-  RepairState& st = repairs_.find(repair_id)->second;
+void Peer::RepairRequestChunk(const Repair& st) {
   RunFetchRequest req;
-  req.run_id = st.current.run_id;
+  req.run_id = st->current.run_id;
   req.expected_checksum =
-      st.current.run_id == kMemtableRunId ? 0 : st.current.checksum;
-  req.start_entry = st.next_entry;
+      st->current.run_id == kMemtableRunId ? 0 : st->current.checksum;
+  req.start_entry = st->next_entry;
   req.max_bytes = options_.repair_chunk_bytes;
   rpc_.SendRequest(
-      st.donor, MessageType::kRunFetch, req.Encode(),
+      st->donor, MessageType::kRunFetch, req.Encode(),
       options_.request_timeout,
-      [this, repair_id](const Status& status, const Message& msg) {
-        auto it = repairs_.find(repair_id);
-        if (it == repairs_.end()) return;
+      [this, st](const Status& status, const Message& msg) {
+        if (Drained(status)) {
+          st->callback(status);
+          return;
+        }
         if (!status.ok()) {
           // Resume, not restart: the retry re-requests the same offset,
           // so everything received before the loss stays received.
-          RepairChunkRetry(repair_id);
+          RepairChunkRetry(st);
           return;
         }
         auto chunk = RunFetchReply::Decode(msg.payload);
         if (!chunk.ok()) {
-          RepairTryNextCandidate(repair_id);
+          RepairTryNextCandidate(st);
           return;
         }
-        RepairOnChunk(repair_id, *chunk);
+        RepairOnChunk(st, *chunk);
       });
 }
 
-void Peer::RepairChunkRetry(uint64_t repair_id) {
-  auto it = repairs_.find(repair_id);
-  if (it == repairs_.end()) return;
-  RepairState& st = it->second;
-  if (st.chunk_budget.Spend(NowUs())) {
+void Peer::RepairChunkRetry(const Repair& st) {
+  if (st->chunk_budget.Spend(NowUs())) {
     transport_->CountRetry(kRepairRetryPolicy);
-    RetryAfter(st.chunk_budget.NextDelayUs(&rng_),
-               [this, repair_id]() { RepairRequestChunk(repair_id); });
-  } else if (st.chunk_budget.DeadlinePassed(NowUs())) {
+    // A restart during the backoff finds no RPC of this repair to drain.
+    RetryAfter(st->chunk_budget.NextDelayUs(&rng_),
+               [this, st, epoch = restarts_]() {
+                 if (epoch == restarts_) {
+                   RepairRequestChunk(st);
+                 } else {
+                   st->callback(
+                       Status::Unavailable("peer ", id_, ": restarted"));
+                 }
+               });
+  } else if (st->chunk_budget.DeadlinePassed(NowUs())) {
     // Past the total deadline a fresh donor would not help — surface the
     // timeout instead of failing over (RepairTryNextCandidate would catch
     // it too; this just skips the pointless failover accounting).
-    FinishRepair(repair_id,
-                 Status::Timeout("peer ", id_, ": replica repair exceeded ",
+    st->callback(Status::Timeout("peer ", id_, ": replica repair exceeded ",
                                  options_.repair_deadline,
                                  "us total deadline"));
   } else {
-    RepairTryNextCandidate(repair_id);
+    RepairTryNextCandidate(st);
   }
 }
 
-void Peer::RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk) {
-  auto it = repairs_.find(repair_id);
-  if (it == repairs_.end()) return;
-  RepairState& st = it->second;
-
+void Peer::RepairOnChunk(const Repair& st, const RunFetchReply& chunk) {
   if (chunk.code == RunFetchReply::kGone) {
     // The donor compacted/reset this run away mid-repair. Its manifest is
     // stale, not its data: restart from a fresh manifest once before
     // giving up on the donor.
-    if (st.manifest_restarts_left-- > 0) {
-      st.missing.clear();
-      st.memtable_pending = false;
-      st.pending.clear();
-      RepairPullManifest(repair_id);
+    if (st->manifest_restarts_left-- > 0) {
+      RepairPullManifest(st);
     } else {
-      RepairTryNextCandidate(repair_id);
+      RepairTryNextCandidate(st);
     }
     return;
   }
 
-  const bool frame_ok = chunk.run_id == st.current.run_id &&
-                        chunk.start_entry == st.next_entry &&
+  const bool frame_ok = chunk.run_id == st->current.run_id &&
+                        chunk.start_entry == st->next_entry &&
                         Crc32c(chunk.block) == chunk.chunk_crc;
   uint64_t added = 0;
   if (frame_ok) {
@@ -1105,23 +1067,23 @@ void Peer::RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk) {
     while (r.remaining() > 0) {
       auto entry = Entry::Decode(&r);
       if (!entry.ok()) break;
-      st.crc.Add(EntryView(*entry));
-      st.pending.push_back(std::move(*entry));
+      st->crc.Add(EntryView(*entry));
+      st->pending.push_back(std::move(*entry));
       ++added;
     }
   }
   // An empty non-final chunk would re-request the same offset forever;
   // treat it like corruption.
   if (!frame_ok || (added == 0 && !chunk.done)) {
-    RepairChunkRetry(repair_id);
+    RepairChunkRetry(st);
     return;
   }
 
   ++repair_chunks_received_;
-  st.next_entry += added;
-  st.chunk_budget.ResetAttempts();
+  st->next_entry += added;
+  st->chunk_budget.ResetAttempts();
   if (!chunk.done) {
-    RepairRequestChunk(repair_id);
+    RepairRequestChunk(st);
     return;
   }
 
@@ -1129,25 +1091,17 @@ void Peer::RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk) {
   // (per-chunk CRCs guard the frames; this guards against a donor whose
   // manifest lied or whose stream truncated). The memtable pseudo run is
   // mutable and carries no manifest checksum to verify against.
-  if (st.current.run_id != kMemtableRunId) {
-    if (st.pending.size() != st.current.entry_count ||
-        st.crc.crc != st.current.checksum) {
-      RepairTryNextCandidate(repair_id);
+  if (st->current.run_id != kMemtableRunId) {
+    if (st->pending.size() != st->current.entry_count ||
+        st->crc.crc != st->current.checksum) {
+      RepairTryNextCandidate(st);
       return;
     }
     ++repair_runs_fetched_;
   }
-  store_.SpliceRun(std::move(st.pending));
-  st.pending.clear();
-  RepairFetchNext(repair_id);
-}
-
-void Peer::FinishRepair(uint64_t repair_id, Status status) {
-  auto it = repairs_.find(repair_id);
-  if (it == repairs_.end()) return;
-  StatusCallback callback = std::move(it->second.callback);
-  repairs_.erase(it);
-  callback(std::move(status));
+  store_.SpliceRun(std::move(st->pending));
+  st->pending.clear();
+  RepairFetchNext(st);
 }
 
 // ---------------------------------------------------------------------------
@@ -1156,19 +1110,11 @@ void Peer::FinishRepair(uint64_t repair_id, Status status) {
 
 void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
                         uint32_t limit) {
-  uint64_t id = next_scan_id_++;
-  ScanState state;
-  state.callback = std::move(callback);
-  seq_scans_.emplace(id, std::move(state));
-
-  transport_->scheduler()->ScheduleAfter(
-      options_.scan_timeout, id_, id_, [this, id]() {
-    auto it = seq_scans_.find(id);
-    if (it != seq_scans_.end()) FinishSeqScan(id, /*complete=*/false);
-  });
-
+  const uint64_t id = rpc_.RegisterMultiReply<RangeSeqReply>(
+      options_.scan_timeout, CollectRange<RangeSeqReply>(std::move(callback)));
   RangeSeqRequest req;
   req.initiator = id_;
+  req.branch = id;
   req.range = range;
   req.limit = limit;
 
@@ -1182,14 +1128,13 @@ void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
   msg.dst = id_;
   msg.request_id = id;
   msg.payload = req.Encode();
-  if (Forward(msg, range.lo) == net::kNoPeer) {
-    FinishSeqScan(id, /*complete=*/false);
-  }
+  if (Forward(msg, range.lo) == net::kNoPeer) SeqDeadEnd(req, id, 0);
 }
 
 void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
                            uint32_t hops) {
   RangeSeqReply reply;
+  reply.branch = req.branch;
   reply.peer_path = path_.bits();
 
   // Under a limit, cap the local batch at the remaining budget. The scan
@@ -1236,6 +1181,7 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
     } else {
       Key next_lo = next_prefix.PadTo(kKeyBits, /*ones=*/false);
       RangeSeqRequest next = req;
+      next.branch = rpc_.NewBranch();
       next.range.lo = next_lo;
       next.collected = collected_now;
       Message msg;
@@ -1246,7 +1192,7 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
       msg.hops = hops;
       msg.payload = next.Encode();
       if (Forward(msg, next_lo) != net::kNoPeer) {
-        reply.will_forward = true;
+        reply.children.push_back(next.branch);
       } else {
         reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
         reply.error = "walk stalled at peer " + std::to_string(id_);
@@ -1264,7 +1210,7 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
         return reply.entries.size() < count;
       });
     }
-    OnSeqPartial(request_id, hops, reply);
+    rpc_.HandleLocalReply(request_id, hops, reply);
     return;
   }
   // Remote partial: encode the scanned entries straight into the wire
@@ -1290,48 +1236,23 @@ void Peer::HandleRangeSeq(const Message& msg) {
     return;
   }
   if (Forward(msg, req->range.lo) == net::kNoPeer) {
-    RangeSeqReply reply;
-    reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
-    reply.error = "routing dead end at peer " + std::to_string(id_);
-    reply.peer_path = path_.bits();
-    DeliverSeqPartial(req->initiator, msg.request_id, msg.hops, reply);
+    SeqDeadEnd(*req, msg.request_id, msg.hops);
   }
 }
 
-void Peer::DeliverSeqPartial(PeerId initiator, uint64_t request_id,
-                             uint32_t hops, const RangeSeqReply& reply) {
-  if (initiator == id_) {
-    OnSeqPartial(request_id, hops, reply);
+void Peer::SeqDeadEnd(const RangeSeqRequest& req, uint64_t request_id,
+                      uint32_t hops) {
+  RangeSeqReply reply;
+  reply.branch = req.branch;
+  reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
+  reply.error = "routing dead end at peer " + std::to_string(id_);
+  reply.peer_path = path_.bits();
+  if (req.initiator == id_) {
+    rpc_.HandleLocalReply(request_id, hops, reply);
     return;
   }
-  rpc_.ReplyTo(initiator, request_id, hops, MessageType::kRangeSeqReply,
+  rpc_.ReplyTo(req.initiator, request_id, hops, MessageType::kRangeSeqReply,
                reply.Encode());
-}
-
-void Peer::OnSeqPartial(uint64_t request_id, uint32_t hops,
-                        const RangeSeqReply& reply) {
-  auto it = seq_scans_.find(request_id);
-  if (it == seq_scans_.end()) return;
-  ScanState& state = it->second;
-  auto& result = state.result;
-  result.entries.insert(result.entries.end(), reply.entries.begin(),
-                        reply.entries.end());
-  result.peers_contacted++;
-  result.max_hops = std::max(result.max_hops, hops);
-  if (reply.status_code != 0) {
-    FinishSeqScan(request_id, /*complete=*/false);
-  } else if (!reply.will_forward) {
-    FinishSeqScan(request_id, /*complete=*/true);
-  }
-}
-
-void Peer::FinishSeqScan(uint64_t request_id, bool complete) {
-  auto it = seq_scans_.find(request_id);
-  if (it == seq_scans_.end()) return;
-  ScanState state = std::move(it->second);
-  seq_scans_.erase(it);
-  state.result.complete = complete;
-  state.callback(std::move(state.result));
 }
 
 // ---------------------------------------------------------------------------
@@ -1339,20 +1260,12 @@ void Peer::FinishSeqScan(uint64_t request_id, bool complete) {
 // ---------------------------------------------------------------------------
 
 void Peer::RangeScanShower(const KeyRange& range, RangeCallback callback) {
-  uint64_t id = next_scan_id_++;
-  ScanState state;
-  state.callback = std::move(callback);
-  state.outstanding = 1;
-  shower_scans_.emplace(id, std::move(state));
-
-  transport_->scheduler()->ScheduleAfter(
-      options_.scan_timeout, id_, id_, [this, id]() {
-    auto it = shower_scans_.find(id);
-    if (it != shower_scans_.end()) FinishShowerScan(id, /*complete=*/false);
-  });
-
+  const uint64_t id = rpc_.RegisterMultiReply<RangeShowerReply>(
+      options_.scan_timeout,
+      CollectRange<RangeShowerReply>(std::move(callback)));
   RangeShowerRequest req;
   req.initiator = id_;
+  req.branch = id;
   req.range = range;
   // The initiator is itself part of the trie: its own levels cover the
   // whole key space, so the shower starts right here.
@@ -1362,6 +1275,7 @@ void Peer::RangeScanShower(const KeyRange& range, RangeCallback callback) {
 void Peer::ProcessRangeShower(const RangeShowerRequest& req,
                               uint64_t request_id, uint32_t hops) {
   RangeShowerReply reply;
+  reply.branch = req.branch;
   reply.peer_path = path_.bits();
 
   // Guard against routing loops caused by stale tables mid-construction.
@@ -1380,6 +1294,7 @@ void Peer::ProcessRangeShower(const RangeShowerRequest& req,
       continue;
     }
     RangeShowerRequest sub = req;
+    sub.branch = rpc_.NewBranch();
     sub.range = req.range.ClampToPrefix(sibling, kKeyBits);
     Message msg;
     msg.type = MessageType::kRangeShower;
@@ -1389,7 +1304,7 @@ void Peer::ProcessRangeShower(const RangeShowerRequest& req,
     msg.hops = hops + 1;
     msg.payload = sub.Encode();
     transport_->Send(std::move(msg));
-    reply.forwards++;
+    reply.children.push_back(sub.branch);
   }
 
   const bool has_local = req.range.IntersectsPrefix(path_, kKeyBits);
@@ -1407,7 +1322,7 @@ void Peer::ProcessRangeShower(const RangeShowerRequest& req,
       reply.entries.push_back(e.ToEntry());
       return true;
     });
-    OnShowerPartial(request_id, hops, reply);
+    rpc_.HandleLocalReply(request_id, hops, reply);
     return;
   }
   std::string payload =
@@ -1425,33 +1340,6 @@ void Peer::HandleRangeShower(const Message& msg) {
   auto req = RangeShowerRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
   ProcessRangeShower(*req, msg.request_id, msg.hops);
-}
-
-void Peer::OnShowerPartial(uint64_t request_id, uint32_t hops,
-                           const RangeShowerReply& reply) {
-  auto it = shower_scans_.find(request_id);
-  if (it == shower_scans_.end()) return;
-  ScanState& state = it->second;
-  auto& result = state.result;
-  result.entries.insert(result.entries.end(), reply.entries.begin(),
-                        reply.entries.end());
-  result.peers_contacted++;
-  result.max_hops = std::max(result.max_hops, hops);
-  if (reply.unreachable > 0) result.complete = false;
-  state.outstanding += reply.forwards;
-  state.outstanding -= 1;
-  if (state.outstanding == 0) {
-    FinishShowerScan(request_id, state.result.complete);
-  }
-}
-
-void Peer::FinishShowerScan(uint64_t request_id, bool complete) {
-  auto it = shower_scans_.find(request_id);
-  if (it == shower_scans_.end()) return;
-  ScanState state = std::move(it->second);
-  shower_scans_.erase(it);
-  state.result.complete = complete && state.result.complete;
-  state.callback(std::move(state.result));
 }
 
 // ---------------------------------------------------------------------------
@@ -1728,48 +1616,21 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
 // lives in the churn plane, a pure function of virtual time evaluated by
 // the transport; the code here only reacts to its edges.
 
-void Peer::FailInFlight(const Status& status) {
-  // Move the maps out first: the callbacks may start fresh operations
-  // (retries) that re-insert, and those must survive.
-  auto seq = std::move(seq_scans_);
-  seq_scans_.clear();
-  for (auto& [id, st] : seq) {
-    if (!st.finished && st.callback) st.callback(status);
-  }
-  auto shower = std::move(shower_scans_);
-  shower_scans_.clear();
-  for (auto& [id, st] : shower) {
-    if (!st.finished && st.callback) st.callback(status);
-  }
-  auto bulk = std::move(bulk_inserts_);
-  bulk_inserts_.clear();
-  for (auto& [id, st] : bulk) {
-    if (st.callback) st.callback(status);
-  }
-  auto repairs = std::move(repairs_);
-  repairs_.clear();
-  for (auto& [id, st] : repairs) {
-    if (st.callback) st.callback(status);
-  }
-}
-
 void Peer::Restart(StatusCallback on_catchup) {
   ++restarts_;
   const sim::SimTime started = NowUs();
   if (restart_hook_) restart_hook_();
 
   // The process lost its volatile state: every in-flight initiator-side
-  // operation dies. Operation maps drain before the RPC table so that a
-  // pending RPC's error callback finds no stale per-op state to resume.
-  const Status down = Status::Unavailable("peer ", id_, ": restarted");
-  FailInFlight(down);
-  rpc_.FailAll(down);
+  // operation dies. Each holds one entry in the RPC table (scans and bulk
+  // inserts a multi-reply entry, a repair its current manifest or chunk
+  // RPC, an exchange or recruit the RPC whose callback clears its busy
+  // flag), so draining the table fails each exactly once.
+  rpc_.FailAll(Status::Unavailable("peer ", id_, ": restarted"));
   hot_owners_.clear();
   recent_serves_.clear();
   suspects_.clear();
   probe_failures_.clear();
-  exchange_busy_ = false;
-  recruit_inflight_ = false;
 
   // Rebuild the store from the resolved backend: a disk peer re-opens its
   // per-peer data_dir and replays the flush manifest (crash recovery,

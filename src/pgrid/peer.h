@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -268,14 +269,15 @@ class Peer {
   /// \brief Crash-restart recovery: the peer comes back under its old
   /// identity (id, path, routing table) with its volatile state gone.
   ///
-  /// Every in-flight initiator-side operation fails with Unavailable, the
-  /// RPC table drains, caches (hot-key adverts, suspicion, probe counts)
-  /// reset, and the store is rebuilt: a disk-backed peer re-opens its
-  /// data_dir and replays the flush manifest (crash recovery, DESIGN.md
-  /// §6), a memory-backed peer restarts empty. If the peer has linked
-  /// replicas it then re-announces itself (probe) and catches up via
-  /// manifest-delta repair; `on_catchup` fires when that pull settles
-  /// (immediately when there is nothing to pull from).
+  /// Every in-flight initiator-side operation fails with Unavailable (the
+  /// RPC table, which holds them all, drains), caches (hot-key adverts,
+  /// suspicion, probe counts) reset, and the store is rebuilt: a
+  /// disk-backed peer re-opens its data_dir and replays the flush
+  /// manifest (crash recovery, DESIGN.md §6), a memory-backed peer
+  /// restarts empty. If the peer has linked replicas it then re-announces
+  /// itself (probe) and catches up via manifest-delta repair;
+  /// `on_catchup` fires when that pull settles (immediately when there is
+  /// nothing to pull from).
   ///
   /// Scheduled by Overlay::InstallChurn at the restart edge of a crash
   /// window; runs as an event of this peer's own domain.
@@ -423,9 +425,6 @@ class Peer {
   // backends get the per-peer data_dir suffix) — shared by the
   // constructor and Restart so both open the same directory.
   LocalStoreOptions ResolvedStorage() const;
-  // Fails every in-flight initiator-side operation (scans, bulk inserts,
-  // repairs) with `status`; their per-request state is dropped.
-  void FailInFlight(const Status& status);
   // Periodic re-protection guard: probe linked replicas, confirm
   // failures, recruit when the group is under target.
   void ScheduleGuard();
@@ -464,12 +463,10 @@ class Peer {
                        uint32_t hops);
   void ProcessRangeShower(const RangeShowerRequest& req, uint64_t request_id,
                           uint32_t hops);
-  void DeliverSeqPartial(PeerId initiator, uint64_t request_id, uint32_t hops,
-                         const RangeSeqReply& reply);
-  void OnSeqPartial(uint64_t request_id, uint32_t hops,
-                    const RangeSeqReply& reply);
-  void OnShowerPartial(uint64_t request_id, uint32_t hops,
-                       const RangeShowerReply& reply);
+  // Answers a seq walk step that cannot be routed on with an error
+  // partial (stalls the walk: the scan completes with complete = false).
+  void SeqDeadEnd(const RangeSeqRequest& req, uint64_t request_id,
+                  uint32_t hops);
 
   // Exchange protocol.
   ExchangeReply DecideExchange(const ExchangeRequest& req);
@@ -484,17 +481,11 @@ class Peer {
 
   // Bulk ingest pipeline: applies the responsible subset of `entries`
   // here (BulkLoad + batch replica push), groups the rest by next hop and
-  // forwards each group under `request_id`. Returns the accounting the
-  // initiator needs.
-  struct BulkDispatch {
-    uint32_t applied = 0;
-    uint32_t dead_ends = 0;
-    uint32_t forwards = 0;
-  };
-  BulkDispatch DispatchBulk(std::vector<Entry> entries, PeerId initiator,
-                            uint64_t request_id, uint32_t hops);
-  void OnBulkInsertReply(uint64_t request_id, const BulkInsertReply& reply);
-  void FinishBulkInsert(uint64_t request_id, bool complete);
+  // forwards each group under `request_id` as a child of `branch`.
+  // Returns the reply that answers `branch` (peer_path left empty).
+  BulkInsertReply DispatchBulk(std::vector<Entry> entries, PeerId initiator,
+                               uint64_t request_id, uint64_t branch,
+                               uint32_t hops);
 
   // Replica maintenance.
   void PushToReplicas(const Entry& entry);
@@ -551,28 +542,8 @@ class Peer {
   uint64_t replicas_confirmed_dead_ = 0;
   sim::SimTime last_restart_catchup_us_ = 0;
 
-  // Initiator-side state of in-flight range scans, keyed by request id.
-  struct ScanState {
-    RangeCallback callback;
-    RangeResult result;
-    uint32_t outstanding = 1;  // Shower only.
-    bool finished = false;
-  };
-  uint64_t next_scan_id_ = 1;
-  std::map<uint64_t, ScanState> seq_scans_;
-  std::map<uint64_t, ScanState> shower_scans_;
-
-  // Initiator-side state of in-flight batch inserts, keyed by request id.
-  struct BulkState {
-    StatusCallback callback;
-    std::vector<Entry> entries;  ///< Retained for idempotent retries.
-    RetryBudget budget;
-    uint32_t outstanding = 0;
-    uint32_t dead_ends = 0;
-  };
-  std::map<uint64_t, BulkState> bulk_inserts_;
-
-  // Repairer-side state of one in-flight PullFromReplica (DESIGN.md §9).
+  // Repairer-side state of one in-flight PullFromReplica (DESIGN.md §9),
+  // shared by the manifest and chunk RPCs of the repair.
   struct RepairState {
     StatusCallback callback;
     std::vector<PeerId> candidates;  ///< Shuffled once; failover order.
@@ -590,28 +561,23 @@ class Peer {
     RetryBudget chunk_budget;
     int manifest_restarts_left = 1;  ///< Donor compacted mid-repair.
   };
-  uint64_t next_repair_id_ = 1;
-  std::map<uint64_t, RepairState> repairs_;
+  using Repair = std::shared_ptr<RepairState>;
   uint64_t repair_failovers_ = 0;
   uint64_t repair_runs_matched_ = 0;
   uint64_t repair_runs_fetched_ = 0;
   uint64_t repair_chunks_received_ = 0;
 
-  // Repairer-side steps; each either advances the state machine or fails
-  // over (RepairTryNextCandidate) — FinishRepair fires the callback.
-  void RepairTryNextCandidate(uint64_t repair_id);
-  void RepairPullManifest(uint64_t repair_id);
-  void RepairOnManifest(uint64_t repair_id, const ManifestPullReply& manifest);
-  void RepairFetchNext(uint64_t repair_id);
-  void RepairRequestChunk(uint64_t repair_id);
+  // Repairer-side steps; each either advances the state machine, fails
+  // over (RepairTryNextCandidate), or ends the repair via its callback.
+  void RepairTryNextCandidate(const Repair& st);
+  void RepairPullManifest(const Repair& st);
+  void RepairOnManifest(const Repair& st, const ManifestPullReply& manifest);
+  void RepairFetchNext(const Repair& st);
+  void RepairRequestChunk(const Repair& st);
   // One lost/corrupt chunk: spend a retry (same offset, resume), surface a
   // deadline timeout, or fail over to the next candidate.
-  void RepairChunkRetry(uint64_t repair_id);
-  void RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk);
-  void FinishRepair(uint64_t repair_id, Status status);
-
-  void FinishSeqScan(uint64_t request_id, bool complete);
-  void FinishShowerScan(uint64_t request_id, bool complete);
+  void RepairChunkRetry(const Repair& st);
+  void RepairOnChunk(const Repair& st, const RunFetchReply& chunk);
 };
 
 }  // namespace pgrid

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -215,19 +216,69 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightOperations) {
 
   for (const Entry& e : MakeBatch("rows", 20)) overlay.InsertDirect(e);
 
-  // Start a shower scan from peer 0, then restart it before any reply can
-  // arrive (no simulation steps in between).
-  std::optional<Result<RangeResult>> scan;
+  // Start one of each initiator-side operation from peer 0 — both scan
+  // strategies, a bulk insert and a replica repair — then restart it
+  // before any reply can arrive (no simulation steps in between).
+  Peer* peer = overlay.peer(0);
+  ASSERT_FALSE(peer->routing().replicas().empty());
+  std::vector<std::pair<std::string, Status>> outcomes;
+  auto record = [&outcomes](std::string op) {
+    return [&outcomes, op](Status s) { outcomes.emplace_back(op, s); };
+  };
   KeyRange full{Key().PadTo(kKeyBits, false), Key().PadTo(kKeyBits, true)};
-  overlay.peer(0)->RangeScanShower(
-      full, [&](Result<RangeResult> r) { scan = std::move(r); });
-  overlay.peer(0)->Restart();
+  peer->RangeScanShower(full, [&](Result<RangeResult> r) {
+    outcomes.emplace_back("shower", r.status());
+  });
+  peer->RangeScanSeq(full, [&](Result<RangeResult> r) {
+    outcomes.emplace_back("seq", r.status());
+  });
+  peer->InsertBatch(MakeBatch("late", 20), record("bulk"));
+  peer->PullFromReplica(record("repair"));
+  ASSERT_TRUE(outcomes.empty()) << outcomes.front().first
+                                << " finished before the restart";
+  peer->Restart();
   overlay.simulation().RunUntilIdle();
 
-  ASSERT_TRUE(scan.has_value()) << "in-flight scan leaked across restart";
-  EXPECT_FALSE(scan->ok());
-  EXPECT_EQ(scan->status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(overlay.peer(0)->restarts(), 1u);
+  // Each operation failed exactly once with Unavailable; nothing resumed.
+  std::map<std::string, int> calls;
+  for (const auto& [op, status] : outcomes) {
+    ++calls[op];
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << op;
+  }
+  EXPECT_EQ(calls, (std::map<std::string, int>{
+                       {"bulk", 1}, {"repair", 1}, {"seq", 1}, {"shower", 1}}));
+  EXPECT_EQ(peer->restarts(), 1u);
+  EXPECT_EQ(peer->rpc().pending_count(), 0u);
+}
+
+// A bulk insert waiting out its retry backoff holds no RPC entry for the
+// restart to drain; it must still end with Unavailable, once, and never
+// re-apply the batch at the restarted peer.
+TEST(ChurnLifecycleTest, RestartEndsBulkInsertWaitingOutItsBackoff) {
+  OverlayOptions options;
+  options.seed = 19;
+  options.peer.retry_backoff_base_us = 50 * kMs;
+  options.peer.retry_backoff_cap_us = 50 * kMs;
+  Overlay overlay(options);
+  overlay.AddPeers(2);
+  overlay.BuildBalanced();
+  // Peer 0 loses its only reference: every entry of the other half is a
+  // routing dead end, so the batch fails at once and waits to retry.
+  Peer* peer = overlay.peer(0);
+  peer->routing().ResetForPath(peer->path().size());
+
+  std::vector<Status> outcomes;
+  peer->InsertBatch(MakeBatch("stuck", 20),
+                    [&outcomes](Status s) { outcomes.push_back(s); });
+  ASSERT_TRUE(outcomes.empty());
+  peer->Restart();
+  overlay.simulation().RunUntilIdle();
+
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].code(), StatusCode::kUnavailable);
+  // The memory store restarted empty; a resumed retry would have re-loaded
+  // the batch's local half into it.
+  EXPECT_EQ(peer->store().live_size(), 0u);
 }
 
 // --- Live joins --------------------------------------------------------------

@@ -120,12 +120,13 @@ TEST(CostModelTest, JoinStrategyCrossover) {
   StatsCatalog catalog = MakeCatalog(256, 8);
   CostModel model(&catalog);
   // Few left bindings against a wide partition: probing wins.
+  const MigrateBatching batching;
   Cost probe_few = model.IndexJoinProbe(2, 0.5);
-  Cost migrate_few = model.IndexJoinMigrate(2, /*peers=*/50);
+  Cost migrate_few = model.IndexJoinMigrate(2, /*peers=*/50, batching);
   EXPECT_LT(probe_few.Total(), migrate_few.Total());
   // Many left bindings against a narrow partition: migrate wins.
   Cost probe_many = model.IndexJoinProbe(5000, 0.5);
-  Cost migrate_many = model.IndexJoinMigrate(5000, /*peers=*/5);
+  Cost migrate_many = model.IndexJoinMigrate(5000, /*peers=*/5, batching);
   EXPECT_LT(migrate_many.Total(), probe_many.Total());
 }
 

@@ -243,6 +243,237 @@ TEST(RpcManagerTest, TimeoutReportsRequestId) {
   EXPECT_NE(got.ToString().find(std::to_string(id)), std::string::npos);
 }
 
+// --- RpcManager multi-reply entries -----------------------------------------
+
+// A minimal multi-reply payload: the answered branch and the child
+// branches the replying peer spawned.
+struct TestPartial {
+  uint64_t branch = 0;
+  std::vector<uint64_t> children;
+  std::string tag;
+
+  std::string Encode() const {
+    BufferWriter w;
+    w.PutU64(branch);
+    w.PutVarint(children.size());
+    for (uint64_t c : children) w.PutU64(c);
+    w.PutString(tag);
+    return w.Release();
+  }
+  static Result<TestPartial> Decode(std::string_view bytes) {
+    BufferReader r(bytes);
+    TestPartial p;
+    UNISTORE_ASSIGN_OR_RETURN(p.branch, r.GetU64());
+    UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+    for (uint64_t i = 0; i < n; ++i) {
+      UNISTORE_ASSIGN_OR_RETURN(uint64_t c, r.GetU64());
+      p.children.push_back(c);
+    }
+    UNISTORE_ASSIGN_OR_RETURN(p.tag, r.GetString());
+    return p;
+  }
+};
+
+// Same shape, different type: a multi-reply entry must not accept it.
+struct OtherPartial : TestPartial {
+  static Result<OtherPartial> Decode(std::string_view) {
+    return Status::Corruption("unused");
+  }
+};
+
+// Records what a multi-reply entry's callback saw.
+struct PartialLog {
+  std::vector<std::string> tags;  ///< Accepted replies, in order.
+  std::vector<Status> closes;     ///< Close events (reply == nullptr).
+
+  RpcManager::PartialCallback<TestPartial> Callback() {
+    return [this](const Status& s, uint32_t, const TestPartial* p) {
+      if (p != nullptr) {
+        tags.push_back(p->tag);
+      } else {
+        closes.push_back(s);
+      }
+    };
+  }
+};
+
+TestPartial Partial(uint64_t branch, std::vector<uint64_t> children,
+                    std::string tag) {
+  TestPartial p;
+  p.branch = branch;
+  p.children = std::move(children);
+  p.tag = std::move(tag);
+  return p;
+}
+
+Message WireReply(uint64_t request_id, const TestPartial& p) {
+  Message m;
+  m.type = MessageType::kRangeShowerReply;
+  m.src = 1;
+  m.dst = 0;
+  m.request_id = request_id;
+  m.payload = p.Encode();
+  return m;
+}
+
+TEST(RpcMultiReplyTest, DuplicateRepliesAreDropped) {
+  RpcFixture f(2);
+  RpcManager client(0, f.transport.get());
+  RpcManager server(1, f.transport.get());
+  PartialLog log;
+  const uint64_t id =
+      client.RegisterMultiReply<TestPartial>(0, log.Callback());
+  const uint64_t child = server.NewBranch();
+
+  EXPECT_TRUE(client.HandleReply(WireReply(id, Partial(id, {child}, "root"))));
+  EXPECT_FALSE(
+      client.HandleReply(WireReply(id, Partial(id, {child}, "root"))));
+  EXPECT_FALSE(client.HandleLocalReply(id, 0, Partial(id, {child}, "root")));
+  EXPECT_EQ(log.tags, std::vector<std::string>{"root"});
+  EXPECT_TRUE(log.closes.empty());
+
+  EXPECT_TRUE(client.HandleReply(WireReply(id, Partial(child, {}, "leaf"))));
+  EXPECT_EQ(log.tags, (std::vector<std::string>{"root", "leaf"}));
+  ASSERT_EQ(log.closes.size(), 1u);
+  EXPECT_TRUE(log.closes[0].ok());
+  // The entry is gone: a late duplicate of the last reply finds nothing.
+  EXPECT_FALSE(client.HandleReply(WireReply(id, Partial(child, {}, "leaf"))));
+  EXPECT_EQ(log.closes.size(), 1u);
+  EXPECT_EQ(client.pending_count(), 0u);
+}
+
+TEST(RpcMultiReplyTest, ClosesWhenNoBranchIsLeftOpen) {
+  RpcFixture f(2);
+  RpcManager client(0, f.transport.get());
+  RpcManager server(1, f.transport.get());
+  PartialLog log;
+  const uint64_t id =
+      client.RegisterMultiReply<TestPartial>(0, log.Callback());
+  const uint64_t a = server.NewBranch();
+  const uint64_t b = server.NewBranch();
+  const uint64_t a0 = server.NewBranch();
+  EXPECT_NE(a, b);
+
+  // A grandchild overtakes its parent's reply: held, not yet delivered.
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(a0, {}, "a0")));
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(id, {a, b}, "root")));
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(b, {}, "b")));
+  EXPECT_EQ(log.tags, (std::vector<std::string>{"root", "b"}));
+  EXPECT_TRUE(log.closes.empty());
+  EXPECT_EQ(client.pending_count(), 1u);
+  // a's reply opens a0, whose held reply follows at once; nothing is left
+  // open.
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(a, {a0}, "a")));
+  EXPECT_EQ(log.tags, (std::vector<std::string>{"root", "b", "a", "a0"}));
+  ASSERT_EQ(log.closes.size(), 1u);
+  EXPECT_TRUE(log.closes[0].ok());
+  EXPECT_EQ(client.pending_count(), 0u);
+}
+
+// A duplicated request runs twice and may fan out differently: the
+// second run's children are minted fresh, so no accepted reply names
+// them and they are never delivered.
+TEST(RpcMultiReplyTest, SecondRunOfADuplicatedRequestIsNeverDelivered) {
+  RpcFixture f(2);
+  RpcManager client(0, f.transport.get());
+  RpcManager server(1, f.transport.get());
+  PartialLog log;
+  const uint64_t id =
+      client.RegisterMultiReply<TestPartial>(0, log.Callback());
+  const uint64_t first = server.NewBranch();
+  const uint64_t second = server.NewBranch();
+
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(id, {first}, "run1")));
+  EXPECT_FALSE(client.HandleLocalReply(id, 0, Partial(id, {second}, "run2")));
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(second, {}, "orphan")));
+  EXPECT_TRUE(log.closes.empty());
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(first, {}, "leaf")));
+  EXPECT_EQ(log.tags, (std::vector<std::string>{"run1", "leaf"}));
+  ASSERT_EQ(log.closes.size(), 1u);
+  EXPECT_TRUE(log.closes[0].ok());
+}
+
+TEST(RpcMultiReplyTest, TimeoutAfterPartialRepliesFiresOnce) {
+  RpcFixture f(2);
+  RpcManager client(0, f.transport.get());
+  RpcManager server(1, f.transport.get());
+  PartialLog log;
+  const uint64_t id =
+      client.RegisterMultiReply<TestPartial>(/*timeout=*/500, log.Callback());
+  const uint64_t a = server.NewBranch();
+  const uint64_t b = server.NewBranch();
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(id, {a, b}, "root")));
+  EXPECT_TRUE(client.HandleLocalReply(id, 0, Partial(a, {}, "first")));
+  f.sim.RunUntilIdle();
+
+  ASSERT_EQ(log.closes.size(), 1u);
+  EXPECT_TRUE(log.closes[0].IsTimeout());
+  EXPECT_EQ(log.tags, (std::vector<std::string>{"root", "first"}));
+  EXPECT_EQ(client.pending_count(), 0u);
+  // The straggler arrives after the deadline: dropped, no second close.
+  EXPECT_FALSE(client.HandleLocalReply(id, 0, Partial(b, {}, "late")));
+  EXPECT_EQ(log.closes.size(), 1u);
+}
+
+TEST(RpcMultiReplyTest, FailAllFiresEachEntryOnce) {
+  RpcFixture f(2);
+  RpcManager client(0, f.transport.get());
+  PartialLog first;
+  PartialLog second;
+  const uint64_t a =
+      client.RegisterMultiReply<TestPartial>(/*timeout=*/500, first.Callback());
+  client.RegisterMultiReply<TestPartial>(0, second.Callback());
+  std::vector<Status> single;
+  client.RegisterPending(0, [&single](const Status& s, const Message&) {
+    single.push_back(s);
+  });
+  EXPECT_TRUE(client.HandleLocalReply(
+      a, 0, Partial(a, {client.NewBranch()}, "partial")));
+  EXPECT_EQ(client.pending_count(), 3u);
+
+  client.FailAll(Status::Unavailable("restarted"));
+  f.sim.RunUntilIdle();  // The armed timer finds nothing left to fire.
+  for (const PartialLog* log : {&first, &second}) {
+    ASSERT_EQ(log->closes.size(), 1u);
+    EXPECT_TRUE(log->closes[0].IsUnavailable());
+  }
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_TRUE(single[0].IsUnavailable());
+  EXPECT_EQ(client.pending_count(), 0u);
+}
+
+TEST(RpcMultiReplyTest, RejectsRepliesOfAnotherType) {
+  RpcFixture f(2);
+  RpcManager client(0, f.transport.get());
+  PartialLog log;
+  const uint64_t id =
+      client.RegisterMultiReply<TestPartial>(0, log.Callback());
+  OtherPartial other;
+  other.branch = id;
+  EXPECT_FALSE(client.HandleLocalReply(id, 0, other));
+  EXPECT_TRUE(log.tags.empty());
+  EXPECT_EQ(client.pending_count(), 1u);
+  client.Cancel(id);
+  EXPECT_EQ(client.pending_count(), 0u);
+  EXPECT_TRUE(log.closes.empty());
+}
+
+TEST(RpcMultiReplyTest, IdsNeverCollide) {
+  RpcFixture f(3);
+  RpcManager a(0, f.transport.get());
+  RpcManager b(1, f.transport.get());
+  std::set<uint64_t> ids;
+  for (int i = 0; i < 100; ++i) {
+    ids.insert(a.RegisterPending(0, [](const Status&, const Message&) {}));
+    ids.insert(a.RegisterMultiReply<TestPartial>(
+        0, [](const Status&, uint32_t, const TestPartial*) {}));
+    ids.insert(a.NewBranch());
+    ids.insert(b.NewBranch());
+  }
+  EXPECT_EQ(ids.size(), 400u);
+  EXPECT_EQ(a.pending_count(), 200u);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace unistore
