@@ -132,7 +132,7 @@ CampaignOutcome RunCampaign(bool churned) {
       e.version = 1;
       ++out.attempted;
       overlay.peer(initiators[i % initiators.size()])
-          ->Insert(e, [&, e](Status status) {
+          ->InsertBatch({e}, [&, e](Status status) {
             if (status.ok()) {
               ++out.acked;
               acked_keys.push_back(e.key);

@@ -70,7 +70,8 @@ EngineRow RunWorkload(const std::string& label, size_t peers,
       auto* peer = overlay.peer(static_cast<net::PeerId>(p));
       sched.ScheduleEvent(when, sim::kHarnessDomain,
                           static_cast<uint32_t>(p), [peer, item] {
-                            peer->Insert(MakeEntry(item), [](Status) {});
+                            peer->InsertBatch({MakeEntry(item)},
+                                              [](Status) {});
                           });
       sched.ScheduleEvent(when + 20 * sim::kMicrosPerMilli,
                           sim::kHarnessDomain, static_cast<uint32_t>(p),

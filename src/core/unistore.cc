@@ -15,7 +15,7 @@ cost::MigrateBatching BatchingFrom(const exec::EnvelopeOptions& envelope) {
       static_cast<double>(envelope.max_bindings_per_envelope);
   batching.pipelined = envelope.pipeline;
   batching.visit_cost_us = envelope.join_visit_cost_us;
-  batching.pair_cost_us = envelope.join_pair_cost_us;
+  batching.pair_cost_us = exec::kJoinPairCostUs;
   return batching;
 }
 
@@ -73,7 +73,7 @@ void UniStore::InsertTriple(const triple::Triple& triple,
   std::vector<pgrid::Entry> entries =
       triple::EntriesForTriple(triple, version, /*deleted=*/false);
   if (options_.qgram_index) {
-    auto postings = qgram::EntriesForTripleQGrams(triple, options_.qgram_q,
+    auto postings = qgram::EntriesForTripleQGrams(triple, qgram::kDefaultQ,
                                                   version,
                                                   /*deleted=*/false);
     entries.insert(entries.end(),
@@ -94,7 +94,7 @@ void UniStore::InsertTuple(const triple::Tuple& tuple,
                    std::make_move_iterator(triple_entries.begin()),
                    std::make_move_iterator(triple_entries.end()));
     if (options_.qgram_index) {
-      auto postings = qgram::EntriesForTripleQGrams(t, options_.qgram_q,
+      auto postings = qgram::EntriesForTripleQGrams(t, qgram::kDefaultQ,
                                                     version,
                                                     /*deleted=*/false);
       entries.insert(entries.end(),
@@ -117,7 +117,7 @@ void UniStore::BulkLoadTuples(const std::vector<triple::Tuple>& tuples,
                      std::make_move_iterator(triple_entries.begin()),
                      std::make_move_iterator(triple_entries.end()));
       if (options_.qgram_index) {
-        auto postings = qgram::EntriesForTripleQGrams(t, options_.qgram_q,
+        auto postings = qgram::EntriesForTripleQGrams(t, qgram::kDefaultQ,
                                                       version,
                                                       /*deleted=*/false);
         entries.insert(entries.end(),
@@ -135,7 +135,7 @@ void UniStore::RemoveTriple(const triple::Triple& triple,
   std::vector<pgrid::Entry> entries =
       triple::EntriesForTriple(triple, version, /*deleted=*/true);
   if (options_.qgram_index) {
-    auto postings = qgram::EntriesForTripleQGrams(triple, options_.qgram_q,
+    auto postings = qgram::EntriesForTripleQGrams(triple, qgram::kDefaultQ,
                                                   version,
                                                   /*deleted=*/true);
     entries.insert(entries.end(),

@@ -30,8 +30,8 @@ struct NodeOptions {
   exec::EnvelopeOptions envelope;
   /// Maintain q-gram postings for string values (enables the q-gram
   /// similarity access path; ~|value| extra index entries per triple).
+  /// Grams are qgram::kDefaultQ characters long.
   bool qgram_index = true;
-  size_t qgram_q = 3;
 };
 
 /// \brief One UniStore node. Not copyable; lifetime bound to its peer.

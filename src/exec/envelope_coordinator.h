@@ -31,6 +31,9 @@
 namespace unistore {
 namespace exec {
 
+/// Simulated local-join cost per (local triple x binding) pair.
+inline constexpr double kJoinPairCostUs = 0.5;
+
 /// Knobs of the batched envelope executor. The initiator stamps the
 /// resulting behaviour into each envelope's flags, so a walk behaves the
 /// same on every peer it visits regardless of the visited peers' own
@@ -44,10 +47,10 @@ struct EnvelopeOptions {
   /// completes, overlapping network latency with local work.
   bool pipeline = true;
   /// Simulated local-join cost: fixed per-visit overhead plus a per
-  /// (local triple x binding) pair term. Serving serializes per peer, so
-  /// these model the compute the pipeline overlaps with latency.
+  /// (local triple x binding) pair term (kJoinPairCostUs). Serving
+  /// serializes per peer, so these model the compute the pipeline
+  /// overlaps with latency.
   double join_visit_cost_us = 100.0;
-  double join_pair_cost_us = 0.5;
   /// Progress deadline of one walk; a walk whose coverage frontier did not
   /// advance within it is relaunched from the frontier.
   sim::SimTime walk_timeout = 4 * sim::kMicrosPerSecond;

@@ -119,7 +119,7 @@ void QueryService::StartMigrateJoin(const vql::TriplePattern& pattern,
   // degrades instead of failing: still-uncovered walks are abandoned and
   // the rows gathered so far come back with explicit coverage gaps.
   peer_->transport()->scheduler()->ScheduleAfter(
-      peer_->options().scan_timeout, peer_->id(), peer_->id(),
+      pgrid::kScanTimeout, peer_->id(), peer_->id(),
       [this, id]() {
         auto it = migrations_.find(id);
         if (it == migrations_.end()) return;
@@ -444,7 +444,7 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   const sim::SimTime now = scheduler->Now();
   const sim::SimTime join_us = static_cast<sim::SimTime>(
       options_.join_visit_cost_us +
-      options_.join_pair_cost_us * static_cast<double>(local_triples) *
+      kJoinPairCostUs * static_cast<double>(local_triples) *
           static_cast<double>(env.bindings.size()));
   const sim::SimTime start = std::max(now, busy_until_);
   busy_until_ = start + join_us;

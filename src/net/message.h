@@ -23,7 +23,8 @@ enum class MessageType : uint16_t {
   kPong = 2,
   kLookup = 10,          ///< Route to key owner, return matching entries.
   kLookupReply = 11,
-  kInsert = 12,          ///< Route to key owner, store entry.
+  // Nothing sends kInsert..kRemoveReply: writes travel as kBulkInsert.
+  kInsert = 12,
   kInsertReply = 13,
   kRemove = 14,
   kRemoveReply = 15,

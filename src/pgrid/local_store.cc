@@ -222,7 +222,8 @@ bool LocalStore::Apply(const Entry& entry) {
   return true;
 }
 
-size_t LocalStore::BulkLoad(std::vector<Entry> entries) {
+size_t LocalStore::BulkLoad(std::vector<Entry> entries,
+                            std::vector<Entry>* changed_out) {
   if (entries.empty() || !io_status_.ok()) return 0;
   SortBatchBySlot(&entries);
   // Within-batch dedup: slots arrive grouped, newest occurrence first.
@@ -275,8 +276,11 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries) {
       }
     }
   }
+  if (changed_out != nullptr) *changed_out = fresh;
   for (Entry& e : updates) {
-    if (Apply(e)) ++changed;
+    if (!Apply(e)) continue;
+    ++changed;
+    if (changed_out != nullptr) changed_out->push_back(std::move(e));
   }
 
   if (!fresh.empty()) {

@@ -189,8 +189,10 @@ class LocalStore {
   /// The batch is sorted and deduplicated by slot (highest version wins
   /// within the batch); entries whose slot already exists in the store
   /// fall back to the Apply path so versioned-upsert/tombstone semantics
-  /// stay exact. Returns the number of entries that changed the store.
-  size_t BulkLoad(std::vector<Entry> entries);
+  /// stay exact. Returns the number of entries that changed the store;
+  /// with `changed_out` set, also appends a copy of each of them there.
+  size_t BulkLoad(std::vector<Entry> entries,
+                  std::vector<Entry>* changed_out = nullptr);
 
   // --- Zero-copy visitor scans (live entries unless stated otherwise) ----
 

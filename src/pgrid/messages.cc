@@ -129,38 +129,6 @@ Result<LookupReply> LookupReply::Decode(std::string_view bytes) {
   return reply;
 }
 
-std::string InsertRequest::Encode() const {
-  BufferWriter w;
-  w.PutU32(initiator);
-  entry.Encode(&w);
-  return w.Release();
-}
-
-Result<InsertRequest> InsertRequest::Decode(std::string_view bytes) {
-  BufferReader r(bytes);
-  InsertRequest req;
-  UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(req.entry, Entry::Decode(&r));
-  return req;
-}
-
-std::string InsertReply::Encode() const {
-  BufferWriter w;
-  w.PutU8(status_code);
-  w.PutString(error);
-  w.PutU32(owner);
-  return w.Release();
-}
-
-Result<InsertReply> InsertReply::Decode(std::string_view bytes) {
-  BufferReader r(bytes);
-  InsertReply reply;
-  UNISTORE_ASSIGN_OR_RETURN(reply.status_code, r.GetU8());
-  UNISTORE_ASSIGN_OR_RETURN(reply.error, r.GetString());
-  UNISTORE_ASSIGN_OR_RETURN(reply.owner, r.GetU32());
-  return reply;
-}
-
 std::string BulkInsertRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
@@ -206,6 +174,7 @@ std::string RangeSeqRequest::Encode() const {
   EncodeRange(range, &w);
   w.PutU32(limit);
   w.PutU32(collected);
+  w.PutVarint(leg_start);
   return w.Release();
 }
 
@@ -217,6 +186,9 @@ Result<RangeSeqRequest> RangeSeqRequest::Decode(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(req.range, DecodeRange(&r));
   UNISTORE_ASSIGN_OR_RETURN(req.limit, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(req.collected, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t leg_start, r.GetVarint());
+  if (leg_start > UINT32_MAX) return Status::Corruption("bad walk leg start");
+  req.leg_start = static_cast<uint32_t>(leg_start);
   return req;
 }
 

@@ -73,23 +73,6 @@ struct LookupReply {
   static Result<LookupReply> Decode(std::string_view bytes);
 };
 
-struct InsertRequest {
-  PeerId initiator = net::kNoPeer;
-  Entry entry;
-
-  std::string Encode() const;
-  static Result<InsertRequest> Decode(std::string_view bytes);
-};
-
-struct InsertReply {
-  uint8_t status_code = 0;
-  std::string error;
-  PeerId owner = net::kNoPeer;
-
-  std::string Encode() const;
-  static Result<InsertReply> Decode(std::string_view bytes);
-};
-
 /// \brief Routed batch insert — the wire unit of the bulk ingest pipeline.
 ///
 /// The initiator groups a batch by next routing hop and sends one
@@ -133,6 +116,9 @@ struct RangeSeqRequest {
   uint32_t limit = 0;
   /// Entries collected by earlier walk steps (maintained by the protocol).
   uint32_t collected = 0;
+  /// msg.hops when this walk step's route began: the routing hop cap
+  /// applies per step, not to the walk's cumulative hop count.
+  uint32_t leg_start = 0;
 
   std::string Encode() const;
   static Result<RangeSeqRequest> Decode(std::string_view bytes);

@@ -336,14 +336,9 @@ Result<LookupResult> Overlay::LookupSync(net::PeerId from, const Key& key,
 }
 
 Status Overlay::InsertSync(net::PeerId from, Entry entry) {
-  std::optional<Status> out;
-  peers_[from]->Insert(std::move(entry),
-                       [&out](Status s) { out = std::move(s); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before insert completed");
-  }
-  return *out;
+  std::vector<Entry> batch;
+  batch.push_back(std::move(entry));
+  return InsertBatchSync(from, std::move(batch));
 }
 
 Status Overlay::InsertBatchSync(net::PeerId from,
@@ -361,14 +356,12 @@ Status Overlay::InsertBatchSync(net::PeerId from,
 
 Status Overlay::RemoveSync(net::PeerId from, const Key& key,
                            const std::string& entry_id, uint64_t version) {
-  std::optional<Status> out;
-  peers_[from]->Remove(key, entry_id, version,
-                       [&out](Status s) { out = std::move(s); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before remove completed");
-  }
-  return *out;
+  Entry tombstone;
+  tombstone.key = key;
+  tombstone.id = entry_id;
+  tombstone.version = version;
+  tombstone.deleted = true;
+  return InsertSync(from, std::move(tombstone));
 }
 
 Result<RangeResult> Overlay::RangeSeqSync(net::PeerId from,

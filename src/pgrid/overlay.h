@@ -107,8 +107,10 @@ class Overlay {
 
   Result<LookupResult> LookupSync(net::PeerId from, const Key& key,
                                   LookupMode mode = LookupMode::kExact);
+  /// One routed write (a batch of one; see Peer::InsertBatch).
   Status InsertSync(net::PeerId from, Entry entry);
   Status InsertBatchSync(net::PeerId from, std::vector<Entry> entries);
+  /// Routes a tombstone for (`key`, `entry_id`) at `version`.
   Status RemoveSync(net::PeerId from, const Key& key,
                     const std::string& entry_id, uint64_t version);
   Result<RangeResult> RangeSeqSync(net::PeerId from, const KeyRange& range);

@@ -133,9 +133,6 @@ void Peer::OnMessage(const Message& msg) {
     case MessageType::kLookup:
       HandleLookup(msg);
       return;
-    case MessageType::kInsert:
-      HandleInsert(msg);
-      return;
     case MessageType::kBulkInsert:
       HandleBulkInsert(msg);
       return;
@@ -170,7 +167,6 @@ void Peer::OnMessage(const Message& msg) {
       HandleRefUpdate(msg);
       return;
     case MessageType::kLookupReply:
-    case MessageType::kInsertReply:
     case MessageType::kBulkInsertReply:
     case MessageType::kRangeSeqReply:
     case MessageType::kRangeShowerReply:
@@ -217,14 +213,17 @@ PeerId Peer::NextHop(const Key& key) {
   return routing_.RandomRefAt(level, &rng_);
 }
 
-PeerId Peer::Forward(const Message& msg, const Key& key) {
+PeerId Peer::Forward(const Message& msg, const Key& key,
+                     uint32_t leg_start) {
   // Greedy routing resolves at least one key bit per hop, so in a
   // consistent trie a route never needs more than kKeyBits hops. While
   // peers are mid-exchange (or mid-churn) their views can disagree and
   // form transient cycles; without this cap a request wanders the cycle
   // forever. Dropping past the cap turns the loop into a dead end the
-  // initiator's bounded retry handles.
-  if (msg.hops >= 2 * kKeyBits) return net::kNoPeer;
+  // initiator's bounded retry handles. The cap is per route: a seq walk
+  // starts a new route at every step, so its cumulative msg.hops may
+  // exceed the cap on a long walk.
+  if (msg.hops - leg_start >= 2 * kKeyBits) return net::kNoPeer;
   PeerId next = NextHop(key);
   if (next == net::kNoPeer || next == id_) return net::kNoPeer;
   Message copy = msg;
@@ -455,7 +454,7 @@ void Peer::ServeLookup(const LookupRequest& req, uint64_t request_id,
     reply.hot = true;
     reply.replicas.push_back(id_);
     for (PeerId r : routing_.replicas()) {
-      if (reply.replicas.size() >= options_.hot_key_max_replicas) break;
+      if (reply.replicas.size() >= kHotKeyMaxReplicas) break;
       reply.replicas.push_back(r);
     }
     ++hot_adverts_;
@@ -488,114 +487,7 @@ void Peer::HandleLookup(const Message& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Insert / Remove
-// ---------------------------------------------------------------------------
-
-void Peer::Insert(Entry entry, StatusCallback callback) {
-  DoInsert(std::move(entry),
-           RetryBudget(RequestPolicy(kInsertRetryPolicy), NowUs()),
-           std::move(callback));
-}
-
-void Peer::Remove(const Key& key, const std::string& entry_id,
-                  uint64_t version, StatusCallback callback) {
-  Entry tombstone;
-  tombstone.key = key;
-  tombstone.id = entry_id;
-  tombstone.version = version;
-  tombstone.deleted = true;
-  Insert(std::move(tombstone), std::move(callback));
-}
-
-void Peer::DoInsert(Entry entry, RetryBudget budget, StatusCallback callback) {
-  if (IsResponsible(entry.key)) {
-    // Same damping as ServeInsert: only effective mutations replicate.
-    if (store_.Apply(entry)) PushToReplicas(entry);
-    callback(Status::OK());
-    return;
-  }
-
-  InsertRequest req;
-  req.initiator = id_;
-  req.entry = entry;
-
-  uint64_t rid = rpc_.RegisterPending(
-      options_.request_timeout,
-      [this, entry, budget, callback](const Status& status,
-                                      const Message& msg) mutable {
-        Status err = status;  // Failed request or reported dead end.
-        if (status.ok()) {
-          auto reply = InsertReply::Decode(msg.payload);
-          if (!reply.ok()) {
-            callback(reply.status());
-            return;
-          }
-          if (reply->status_code == 0) {
-            callback(Status::OK());
-            return;
-          }
-          err = Status(static_cast<StatusCode>(reply->status_code),
-                       reply->error);
-        }
-        if (budget.Spend(NowUs())) {
-          transport_->CountRetry(kInsertRetryPolicy);
-          RetryAfter(budget.NextDelayUs(&rng_),
-                     [this, entry, budget, callback]() {
-                       DoInsert(entry, budget, callback);
-                     });
-        } else {
-          callback(err);
-        }
-      });
-
-  Message msg;
-  msg.type = MessageType::kInsert;
-  msg.src = id_;
-  msg.dst = id_;
-  msg.request_id = rid;
-  msg.hops = 0;
-  msg.payload = req.Encode();
-  PeerId hop = Forward(msg, entry.key);
-  if (hop == net::kNoPeer) {
-    rpc_.Cancel(rid);
-    callback(Status::Unavailable("peer ", id_, ": no route toward key ",
-                                 entry.key.ToString()));
-    return;
-  }
-  rpc_.NoteDestination(rid, hop);
-}
-
-void Peer::ServeInsert(const InsertRequest& req, uint64_t request_id,
-                       uint32_t hops) {
-  // Replicate only effective mutations: a stale replica reroutes gossip
-  // back here as a routed insert, and re-pushing an entry we already
-  // hold would hand it straight back to that replica — an undamped
-  // rumor cycle. Damping at the sink ends it in one hop.
-  if (store_.Apply(req.entry)) PushToReplicas(req.entry);
-  InsertReply reply;
-  reply.owner = id_;
-  rpc_.ReplyTo(req.initiator, request_id, hops, MessageType::kInsertReply,
-               reply.Encode());
-}
-
-void Peer::HandleInsert(const Message& msg) {
-  auto req = InsertRequest::Decode(msg.payload);
-  if (!req.ok() || !KnownPeer(req->initiator)) return;
-  if (IsResponsible(req->entry.key)) {
-    ServeInsert(*req, msg.request_id, msg.hops);
-    return;
-  }
-  if (Forward(msg, req->entry.key) == net::kNoPeer) {
-    InsertReply reply;
-    reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
-    reply.error = "routing dead end at peer " + std::to_string(id_);
-    rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
-                 MessageType::kInsertReply, reply.Encode());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched insert (bulk ingest pipeline)
+// Routed writes: the batched insert walk (bulk ingest pipeline)
 // ---------------------------------------------------------------------------
 
 void Peer::InsertBatch(std::vector<Entry> entries, StatusCallback callback) {
@@ -610,8 +502,10 @@ void Peer::DoInsertBatch(std::vector<Entry> entries, RetryBudget budget,
     callback(Status::OK());
     return;
   }
+  // The walk is a tree of routed requests no deeper than the routing
+  // depth, so one attempt gets a routed request's deadline.
   const uint64_t id = rpc_.RegisterMultiReply<BulkInsertReply>(
-      options_.scan_timeout,
+      options_.request_timeout,
       [this, retained = entries,  // Copy kept for idempotent retries.
        budget, callback = std::move(callback), dead_ends = uint32_t{0}](
           const Status& status, uint32_t,
@@ -657,6 +551,10 @@ BulkInsertReply Peer::DispatchBulk(std::vector<Entry> entries,
                                    uint64_t branch, uint32_t hops) {
   BulkInsertReply d;
   d.branch = branch;
+  // The routing hop cap of Forward: past it the walk is looping through
+  // inconsistent views, so the rest of the batch is a dead end the
+  // initiator's bounded retry handles.
+  const bool may_forward = hops < 2 * kKeyBits;
   std::vector<Entry> mine;
   std::map<PeerId, std::vector<Entry>> groups;
   for (Entry& e : entries) {
@@ -664,7 +562,7 @@ BulkInsertReply Peer::DispatchBulk(std::vector<Entry> entries,
       mine.push_back(std::move(e));
       continue;
     }
-    const PeerId next = NextHop(e.key);
+    const PeerId next = may_forward ? NextHop(e.key) : net::kNoPeer;
     if (next == net::kNoPeer || next == id_) {
       ++d.dead_ends;
       continue;
@@ -674,9 +572,17 @@ BulkInsertReply Peer::DispatchBulk(std::vector<Entry> entries,
 
   if (!mine.empty()) {
     d.applied = static_cast<uint32_t>(mine.size());
-    // One rumor batch to the replica group instead of per-entry pushes.
-    PushBatchToReplicas(mine);
-    store_.BulkLoad(std::move(mine));
+    // Replicate only effective mutations, as one rumor batch: a stale
+    // replica reroutes gossip back here, and re-pushing entries we
+    // already hold would hand them straight back to it (an undamped
+    // rumor cycle). Damping at the owner ends it in one hop.
+    if (routing_.replicas().empty()) {
+      store_.BulkLoad(std::move(mine));
+    } else {
+      std::vector<Entry> changed;
+      store_.BulkLoad(std::move(mine), &changed);
+      PushBatchToReplicas(changed);
+    }
   }
 
   for (auto& [next, group] : groups) {
@@ -712,18 +618,6 @@ void Peer::HandleBulkInsert(const Message& msg) {
 // Replica maintenance
 // ---------------------------------------------------------------------------
 
-void Peer::PushToReplicas(const Entry& entry) {
-  const auto& replicas = routing_.replicas();
-  if (replicas.empty()) return;
-  std::vector<PeerId> targets = replicas;
-  rng_.Shuffle(&targets);
-  size_t fanout = std::min(options_.gossip_fanout, targets.size());
-  for (size_t i = 0; i < fanout; ++i) {
-    SendEntries(targets[i], {entry}, /*reroute_if_foreign=*/false,
-                /*gossip=*/true);
-  }
-}
-
 void Peer::PushBatchToReplicas(const std::vector<Entry>& entries) {
   const auto& replicas = routing_.replicas();
   if (replicas.empty() || entries.empty()) return;
@@ -751,16 +645,31 @@ void Peer::SendEntries(PeerId dst, std::vector<Entry> entries,
   transport_->Send(std::move(msg));
 }
 
+void Peer::Reroute(std::vector<Entry> foreign) {
+  if (foreign.empty()) return;
+  rerouted_entries_ += foreign.size();
+  // If the walk fails (routing can dead-end while the trie is
+  // mid-exchange), hold the entries here rather than lose them: a
+  // misplaced copy is repairable by the next exchange migration, a
+  // dropped acked write is not.
+  std::vector<Entry> held = foreign;
+  InsertBatch(std::move(foreign),
+              [this, held = std::move(held)](const Status& status) {
+                if (status.ok()) return;
+                for (const Entry& e : held) store_.Apply(e);
+              });
+}
+
 void Peer::ApplyOrReroute(const std::vector<Entry>& entries) {
+  std::vector<Entry> foreign;
   for (const Entry& e : entries) {
     if (IsResponsible(e.key)) {
       store_.Apply(e);
     } else {
-      ++rerouted_entries_;
-      DoInsert(e, RetryBudget(RequestPolicy(kInsertRetryPolicy), NowUs()),
-               NoopStatus);
+      foreign.push_back(e);
     }
   }
+  Reroute(std::move(foreign));
 }
 
 void Peer::HandleEntryBatch(const Message& msg) {
@@ -768,6 +677,7 @@ void Peer::HandleEntryBatch(const Message& msg) {
   if (!batch.ok()) return;
   std::vector<Entry> mine;
   std::vector<Entry> fresh;
+  std::vector<Entry> foreign;
   for (Entry& e : batch->entries) {
     // Gossip is addressed by a replica list that may be stale across
     // churn: a member that moved to another region (recruit adoption,
@@ -775,16 +685,7 @@ void Peer::HandleEntryBatch(const Message& msg) {
     // never absorb foreign data into its new region.
     if ((batch->reroute_if_foreign || batch->gossip) &&
         !IsResponsible(e.key)) {
-      ++rerouted_entries_;
-      // If the reroute dies (routing can dead-end while the trie is
-      // mid-exchange), hold the entry here rather than lose it: a
-      // misplaced copy is repairable by the next exchange migration,
-      // a dropped acked write is not.
-      Entry held = e;
-      DoInsert(e, RetryBudget(RequestPolicy(kInsertRetryPolicy), NowUs()),
-               [this, held](const Status& status) {
-                 if (!status.ok()) store_.Apply(held);
-               });
+      foreign.push_back(std::move(e));
       continue;
     }
     if (batch->gossip) {
@@ -799,6 +700,7 @@ void Peer::HandleEntryBatch(const Message& msg) {
   // instead of per-entry memtable churn.
   if (!mine.empty()) store_.BulkLoad(std::move(mine));
   if (!fresh.empty()) PushBatchToReplicas(fresh);
+  Reroute(std::move(foreign));
 }
 
 // ---------------------------------------------------------------------------
@@ -886,10 +788,8 @@ void Peer::PullFromReplica(StatusCallback callback) {
   // deadline is anchored here and survives donor failovers — the bound a
   // flapping replica set cannot escape.
   RetryPolicy policy = RequestPolicy(kRepairRetryPolicy);
-  policy.max_retries = options_.repair_chunk_retries;
-  policy.deadline_us = options_.repair_deadline > 0
-                           ? static_cast<uint64_t>(options_.repair_deadline)
-                           : 0;
+  policy.max_retries = kRepairChunkRetries;
+  policy.deadline_us = kRepairDeadline;
   st->chunk_budget = RetryBudget(policy, NowUs());
   st->candidates = replicas;
   // One shuffle from this peer's own stream fixes the whole failover
@@ -903,7 +803,7 @@ void Peer::PullFromReplica(StatusCallback callback) {
 void Peer::RepairTryNextCandidate(const Repair& st) {
   if (st->chunk_budget.DeadlinePassed(NowUs())) {
     st->callback(Status::Timeout("peer ", id_, ": replica repair exceeded ",
-                                 options_.repair_deadline,
+                                 kRepairDeadline,
                                  "us total deadline"));
     return;
   }
@@ -1038,7 +938,7 @@ void Peer::RepairChunkRetry(const Repair& st) {
     // timeout instead of failing over (RepairTryNextCandidate would catch
     // it too; this just skips the pointless failover accounting).
     st->callback(Status::Timeout("peer ", id_, ": replica repair exceeded ",
-                                 options_.repair_deadline,
+                                 kRepairDeadline,
                                  "us total deadline"));
   } else {
     RepairTryNextCandidate(st);
@@ -1111,7 +1011,7 @@ void Peer::RepairOnChunk(const Repair& st, const RunFetchReply& chunk) {
 void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
                         uint32_t limit) {
   const uint64_t id = rpc_.RegisterMultiReply<RangeSeqReply>(
-      options_.scan_timeout, CollectRange<RangeSeqReply>(std::move(callback)));
+      kScanTimeout, CollectRange<RangeSeqReply>(std::move(callback)));
   RangeSeqRequest req;
   req.initiator = id_;
   req.branch = id;
@@ -1184,6 +1084,7 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
       next.branch = rpc_.NewBranch();
       next.range.lo = next_lo;
       next.collected = collected_now;
+      next.leg_start = hops;
       Message msg;
       msg.type = MessageType::kRangeSeq;
       msg.src = id_;
@@ -1191,7 +1092,7 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
       msg.request_id = request_id;
       msg.hops = hops;
       msg.payload = next.Encode();
-      if (Forward(msg, next_lo) != net::kNoPeer) {
+      if (Forward(msg, next_lo, next.leg_start) != net::kNoPeer) {
         reply.children.push_back(next.branch);
       } else {
         reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
@@ -1235,7 +1136,7 @@ void Peer::HandleRangeSeq(const Message& msg) {
     ProcessRangeSeq(*req, msg.request_id, msg.hops);
     return;
   }
-  if (Forward(msg, req->range.lo) == net::kNoPeer) {
+  if (Forward(msg, req->range.lo, req->leg_start) == net::kNoPeer) {
     SeqDeadEnd(*req, msg.request_id, msg.hops);
   }
 }
@@ -1261,7 +1162,7 @@ void Peer::SeqDeadEnd(const RangeSeqRequest& req, uint64_t request_id,
 
 void Peer::RangeScanShower(const KeyRange& range, RangeCallback callback) {
   const uint64_t id = rpc_.RegisterMultiReply<RangeShowerReply>(
-      options_.scan_timeout,
+      kScanTimeout,
       CollectRange<RangeShowerReply>(std::move(callback)));
   RangeShowerRequest req;
   req.initiator = id_;
@@ -1523,7 +1424,7 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
     // Paths diverge at level l < min(la, lb).
     const bool we_are_overloaded =
         store_.live_size() >
-        options_.balance_factor * static_cast<double>(req.live_size + 1);
+        kBalanceFactor * static_cast<double>(req.live_size + 1);
     if (we_are_overloaded && lb < kKeyBits && req.replica_count > 0) {
       // Storage balancing [Aberer VLDB'05]: the underloaded initiator
       // migrates under our overloaded region and takes half of it. Its old

@@ -29,9 +29,30 @@ namespace pgrid {
 
 // Retry-policy counter keys (TrafficStats.retries_by_policy).
 inline constexpr std::string_view kLookupRetryPolicy = "lookup";
+/// Nothing counts under this key any more (writes retry as "bulk-insert").
 inline constexpr std::string_view kInsertRetryPolicy = "insert";
 inline constexpr std::string_view kBulkRetryPolicy = "bulk-insert";
 inline constexpr std::string_view kRepairRetryPolicy = "repair";
+
+/// A peer offers a migrate-split to an exchange partner when it stores
+/// more than this many times the partner's load.
+inline constexpr double kBalanceFactor = 8.0;
+
+/// Deadline of a whole range scan (and of a Migrate join walk).
+inline constexpr sim::SimTime kScanTimeout = 20 * sim::kMicrosPerSecond;
+
+/// Total deadline of one PullFromReplica, measured from the call and
+/// honoured across donor failovers: per-chunk retry budgets reset on
+/// progress, this deadline never does, so a flapping replica set cannot
+/// retry unboundedly.
+inline constexpr sim::SimTime kRepairDeadline = 60 * sim::kMicrosPerSecond;
+
+/// Times one lost/corrupt repair chunk is re-requested at the same offset
+/// (transfer resume) before the repairer fails over to the next replica.
+inline constexpr int kRepairChunkRetries = 2;
+
+/// Cap on an advertised hot-key replica group (serving peer included).
+inline constexpr size_t kHotKeyMaxReplicas = 4;
 
 /// Tunables of one peer's protocol behaviour.
 struct PeerOptions {
@@ -40,34 +61,23 @@ struct PeerOptions {
   /// split deeper — [Aberer VLDB'05]).
   size_t split_threshold = 256;
 
-  /// A peer offers a migrate-split to an exchange partner when it stores
-  /// more than `balance_factor` times the partner's load.
-  double balance_factor = 8.0;
-
-  /// Deadline of a single routed request (lookup/insert).
+  /// Deadline of a single routed request: a lookup, or one attempt of a
+  /// bulk-insert walk (a tree of routed requests no deeper than the
+  /// routing depth).
   sim::SimTime request_timeout = 5 * sim::kMicrosPerSecond;
-
-  /// Deadline of a whole range scan.
-  sim::SimTime scan_timeout = 20 * sim::kMicrosPerSecond;
 
   /// Retries of a failed lookup/insert at the initiator.
   int request_retries = 2;
 
   // --- Unified retry discipline (common/retry_policy.h) ------------------
 
-  /// Backoff of the routed-request retry policies (lookup, insert, bulk
-  /// insert, repair chunks): capped exponential from `base` with uniform
+  /// Backoff of the routed-request retry policies (lookup, bulk insert,
+  /// repair chunks): capped exponential from `base` with uniform
   /// jitter drawn from this peer's own RNG stream. base == 0 keeps the
   /// legacy immediate-retry behaviour (the default).
   uint64_t retry_backoff_base_us = 0;
   uint64_t retry_backoff_cap_us = 0;
   uint64_t retry_jitter_us = 0;
-
-  /// Total deadline of one PullFromReplica, measured from the call and
-  /// honoured across donor failovers: per-chunk retry budgets reset on
-  /// progress, this deadline never does, so a flapping replica set cannot
-  /// retry unboundedly. 0 disables.
-  sim::SimTime repair_deadline = 60 * sim::kMicrosPerSecond;
 
   /// How long a peer that failed a request stays suspected. While
   /// suspected, greedy routing and hot-replica fan-out prefer healthy
@@ -89,11 +99,6 @@ struct PeerOptions {
   /// least one entry, so an oversized entry still makes progress.
   size_t repair_chunk_bytes = 64 * 1024;
 
-  /// Times one lost/corrupt chunk is re-requested at the same offset
-  /// (transfer resume) before the repairer fails over to the next
-  /// replica candidate.
-  int repair_chunk_retries = 2;
-
   // --- Hot-key replica fan-out (DESIGN.md §8) ----------------------------
 
   /// Served-lookup rate (requests/second over `hot_key_window`) at which
@@ -108,9 +113,6 @@ struct PeerOptions {
   /// How long an initiator honours a hot advertisement before falling
   /// back to normal owner routing.
   sim::SimTime hot_key_advert_ttl = 2 * sim::kMicrosPerSecond;
-
-  /// Cap on the advertised replica group (serving peer included).
-  size_t hot_key_max_replicas = 4;
 
   // --- Peer lifecycle & replica re-protection (DESIGN.md §11) ------------
 
@@ -162,9 +164,9 @@ struct RangeResult {
 };
 
 /// \brief One P-Grid node: path, routing table, local store, and the
-/// message handlers implementing lookup/insert routing, both range-scan
-/// strategies, the pairwise exchange (construction, load balancing), and
-/// replica maintenance (rumor push + anti-entropy pull).
+/// message handlers implementing lookup and bulk-insert routing, both
+/// range-scan strategies, the pairwise exchange (construction, load
+/// balancing), and replica maintenance (rumor push + anti-entropy pull).
 ///
 /// All client operations are asynchronous: they return immediately and the
 /// callback fires from the simulation loop. Synchronous wrappers for tests
@@ -214,24 +216,19 @@ class Peer {
   /// Routes to the owner of `key` and returns the matching entries.
   void Lookup(const Key& key, LookupMode mode, LookupCallback callback);
 
-  /// Routes `entry` to its owner, stores it, pushes to replicas.
-  void Insert(Entry entry, StatusCallback callback);
-
-  /// \brief Routes a whole batch of entries to their owners (bulk ingest
-  /// pipeline).
+  /// \brief Routes a batch of entries to their owners: the one routed
+  /// write path (a single write or a tombstone is a batch of one).
   ///
   /// The batch is grouped by next routing hop and travels as BulkInsert
   /// messages that split recursively at each peer; responsible peers
   /// ingest their group through LocalStore::BulkLoad (bypassing the
-  /// per-entry memtable path) and push it to replicas as one rumor batch.
-  /// The callback fires once every sub-walk reported back; on loss or a
-  /// routing dead end the whole batch retries (versioned upserts make
-  /// re-delivery idempotent) before giving up with Unavailable.
+  /// per-entry memtable path) and push the entries that changed their
+  /// store to replicas as one rumor batch. The callback fires once every
+  /// sub-walk reported back; on loss, a routing dead end, the hop cap or
+  /// the request_timeout deadline the whole batch retries (versioned
+  /// upserts make re-delivery idempotent) before giving up with
+  /// Unavailable.
   void InsertBatch(std::vector<Entry> entries, StatusCallback callback);
-
-  /// Deletes by writing a tombstone (id under `key` with higher version).
-  void Remove(const Key& key, const std::string& entry_id, uint64_t version,
-              StatusCallback callback);
 
   /// Sequential (min-first) range scan: walks leaves left to right.
   /// `limit` > 0 terminates the walk early after that many entries were
@@ -382,7 +379,6 @@ class Peer {
   // Client ops with retry budget (common/retry_policy.h).
   void DoLookup(const Key& key, LookupMode mode, RetryBudget budget,
                 LookupCallback callback);
-  void DoInsert(Entry entry, RetryBudget budget, StatusCallback callback);
   void DoInsertBatch(std::vector<Entry> entries, RetryBudget budget,
                      StatusCallback callback);
   void DoInitiateExchange(PeerId other, uint32_t ttl, StatusCallback callback);
@@ -402,13 +398,15 @@ class Peer {
   // Routing.
   PeerId NextHop(const Key& key);
   // Forwards a routed request one hop toward `key`. Returns the chosen
-  // next hop, or kNoPeer if no reference is available (routing dead end).
-  PeerId Forward(const net::Message& msg, const Key& key);
+  // next hop, or kNoPeer if no reference is available (routing dead end)
+  // or the route already took 2 * kKeyBits hops since `leg_start` (the
+  // msg.hops value at which this route began).
+  PeerId Forward(const net::Message& msg, const Key& key,
+                 uint32_t leg_start = 0);
 
   // Request handlers (invoked for messages, and locally by client ops when
   // this peer is already responsible).
   void HandleLookup(const net::Message& msg);
-  void HandleInsert(const net::Message& msg);
   void HandleBulkInsert(const net::Message& msg);
   void HandleRangeSeq(const net::Message& msg);
   void HandleRangeShower(const net::Message& msg);
@@ -457,8 +455,6 @@ class Peer {
   // Shared protocol steps.
   void ServeLookup(const LookupRequest& req, uint64_t request_id,
                    uint32_t hops);
-  void ServeInsert(const InsertRequest& req, uint64_t request_id,
-                   uint32_t hops);
   void ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
                        uint32_t hops);
   void ProcessRangeShower(const RangeShowerRequest& req, uint64_t request_id,
@@ -480,16 +476,19 @@ class Peer {
   void AddPeerByPath(PeerId peer, const Key& peer_path);
 
   // Bulk ingest pipeline: applies the responsible subset of `entries`
-  // here (BulkLoad + batch replica push), groups the rest by next hop and
-  // forwards each group under `request_id` as a child of `branch`.
-  // Returns the reply that answers `branch` (peer_path left empty).
+  // here (BulkLoad + replica push of what changed), groups the rest by
+  // next hop and forwards each group under `request_id` as a child of
+  // `branch`; past the hop cap the rest are dead ends. Returns the reply
+  // that answers `branch` (peer_path left empty).
   BulkInsertReply DispatchBulk(std::vector<Entry> entries, PeerId initiator,
                                uint64_t request_id, uint64_t branch,
                                uint32_t hops);
 
   // Replica maintenance.
-  void PushToReplicas(const Entry& entry);
   void PushBatchToReplicas(const std::vector<Entry>& entries);
+  // Routes entries this peer is not responsible for to their owner as one
+  // batch; if that batch fails they are held here instead of lost.
+  void Reroute(std::vector<Entry> foreign);
   void ApplyOrReroute(const std::vector<Entry>& entries);
   void SendEntries(PeerId dst, std::vector<Entry> entries,
                    bool reroute_if_foreign, bool gossip);

@@ -159,16 +159,10 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
       auto t = AgeTriple("q" + std::to_string(i), 200 + i);
       auto entries = triple::EntriesForTriple(t, 1);
       auto initiator = static_cast<net::PeerId>(i % outside);
-      size_t remaining = entries.size();
-      auto ok_all = std::make_shared<bool>(true);
-      auto left = std::make_shared<size_t>(remaining);
-      for (auto& e : entries) {
-        overlay.peer(initiator)->Insert(
-            e, [&, t, entries, ok_all, left](Status status) {
-              if (!status.ok()) *ok_all = false;
-              if (--*left == 0 && *ok_all) track_ack(t, entries);
-            });
-      }
+      overlay.peer(initiator)->InsertBatch(
+          entries, [&, t, entries](Status status) {
+            if (status.ok()) track_ack(t, entries);
+          });
     });
   }
 
@@ -428,7 +422,7 @@ TEST(ChaosCampaignTest, ChurnMixedWithFaultsEndsReprotected) {
       e.id = "id";
       e.version = 1;
       overlay.peer(initiators[i % initiators.size()])
-          ->Insert(e, [&acked_keys, e](Status status) {
+          ->InsertBatch({e}, [&acked_keys, e](Status status) {
             if (status.ok()) acked_keys.push_back(e.key);
           });
     });

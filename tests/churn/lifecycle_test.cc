@@ -149,8 +149,8 @@ TEST(ChurnLifecycleTest, MemoryRestartCatchesUpThroughRepair) {
   }
   ASSERT_NE(initiator, net::kNoPeer);
   sim.ScheduleAt(2 * kS, [&] {
-    overlay.peer(initiator)->Insert(during,
-                                    [&](Status s) { ack = std::move(s); });
+    overlay.peer(initiator)->InsertBatch(
+        {during}, [&](Status s) { ack = std::move(s); });
   });
   sim.RunUntilIdle();
 

@@ -3,6 +3,7 @@
 // message loss through idempotent whole-batch retries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -43,6 +44,20 @@ class BulkInsertTest : public ::testing::Test {
     overlay_->BuildBalanced();
   }
 
+  uint64_t Sent(net::MessageType type) const {
+    const auto stats = overlay_->transport().stats();
+    auto it = stats.per_type.find(type);
+    return it == stats.per_type.end() ? 0 : it->second;
+  }
+
+  // A peer outside every group in `skip`.
+  net::PeerId PeerOutside(const std::vector<net::PeerId>& skip) const {
+    for (net::PeerId p = 0; p < overlay_->size(); ++p) {
+      if (std::find(skip.begin(), skip.end(), p) == skip.end()) return p;
+    }
+    return net::kNoPeer;
+  }
+
   std::unique_ptr<Overlay> overlay_;
 };
 
@@ -60,8 +75,9 @@ TEST_F(BulkInsertTest, BatchReachesEveryOwner) {
 }
 
 TEST_F(BulkInsertTest, MatchesPerEntryInsertResults) {
-  // The same data via InsertBatch and via per-entry Insert must land
-  // identically (same owners, same stored bytes).
+  // The same data via the routed InsertBatch walk and stored directly at
+  // every responsible peer must land identically (same owners, same
+  // stored bytes).
   Build(16, /*replication=*/1, /*loss=*/0, /*seed=*/8);
   OverlayOptions options;
   options.seed = 8;
@@ -72,10 +88,9 @@ TEST_F(BulkInsertTest, MatchesPerEntryInsertResults) {
   auto batch = MakeBatch(48, "cmp");
   ASSERT_TRUE(overlay_->InsertBatchSync(0, batch).ok());
   for (const Entry& e : batch) {
-    ASSERT_TRUE(single.InsertSync(0, e).ok());
+    ASSERT_EQ(single.InsertDirect(e), 1u) << e.id;
   }
   overlay_->simulation().RunUntilIdle();
-  single.simulation().RunUntilIdle();
   for (size_t p = 0; p < 16; ++p) {
     const auto id = static_cast<net::PeerId>(p);
     EXPECT_EQ(overlay_->peer(id)->store().GetAll(),
@@ -152,6 +167,104 @@ TEST_F(BulkInsertTest, GarbageBulkInsertPayloadIsDropped) {
   // The network still works afterwards.
   auto batch = MakeBatch(8, "post-garbage");
   EXPECT_TRUE(overlay_->InsertBatchSync(1, batch).ok());
+}
+
+TEST_F(BulkInsertTest, OwnerDoesNotRepushEntryItAlreadyHolds) {
+  // Damping: only entries that changed the owner's store go to its
+  // replicas, so re-delivering a held entry starts no rumor.
+  Build(16, /*replication=*/2, /*loss=*/0, /*seed=*/21);
+  const Entry e = MakeEntry("damped");
+  ASSERT_TRUE(overlay_->InsertBatchSync(0, {e}).ok());
+  overlay_->simulation().RunUntilIdle();
+  const uint64_t first = Sent(net::MessageType::kReplicaPush);
+  ASSERT_GT(first, 0u) << "the first write must replicate";
+  ASSERT_TRUE(overlay_->InsertBatchSync(0, {e}).ok());
+  overlay_->simulation().RunUntilIdle();
+  EXPECT_EQ(Sent(net::MessageType::kReplicaPush), first);
+}
+
+TEST_F(BulkInsertTest, RoutingCycleEndsAsBoundedDeadEnd) {
+  // Two peers whose views disagree: each believes the other covers the
+  // '1' half, which nobody serves. The hop cap turns the loop into a
+  // dead end, so the batch fails after its retries and the network goes
+  // idle.
+  OverlayOptions options;
+  options.seed = 22;
+  overlay_ = std::make_unique<Overlay>(options);
+  overlay_->AddPeers(2);
+  Peer* a = overlay_->peer(0);
+  Peer* b = overlay_->peer(1);
+  a->SetPath(Key::FromBits("00"));
+  b->SetPath(Key::FromBits("01"));
+  a->routing().AddRef(0, b->id(), &overlay_->rng());
+  b->routing().AddRef(0, a->id(), &overlay_->rng());
+  Entry e = MakeEntry("cycle");
+  e.key = Key::FromBits("1").PadTo(kKeyBits, false);
+
+  const uint64_t before = overlay_->transport().stats().messages_sent;
+  Status status = overlay_->InsertBatchSync(0, {e});
+  EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+  overlay_->simulation().RunFor(60 * sim::kMicrosPerSecond);
+  EXPECT_EQ(overlay_->simulation().pending_events(), 0u);
+  // Per attempt: at most 2 * kKeyBits forwards, each answered once.
+  const uint64_t attempts = PeerOptions{}.request_retries + 1;
+  EXPECT_LE(overlay_->transport().stats().messages_sent - before,
+            attempts * 2 * (2 * kKeyBits));
+}
+
+TEST_F(BulkInsertTest, StaleReplicaReroutesRumorWithoutPushCycle) {
+  // Both owners still list a peer of another region as their replica.
+  // Their rumor reaches it, it routes the entry to the owners as a batch,
+  // and the owners, already holding it, push nothing back.
+  Build(16, /*replication=*/2, /*loss=*/0, /*seed=*/23);
+  const Entry e = MakeEntry("rumor");
+  const std::vector<net::PeerId> owners = overlay_->ResponsiblePeers(e.key);
+  ASSERT_EQ(owners.size(), 2u);
+  const net::PeerId stale = PeerOutside(owners);
+  for (net::PeerId o : owners) overlay_->peer(o)->routing().AddReplica(stale);
+  std::vector<net::PeerId> skip = owners;
+  skip.push_back(stale);
+
+  ASSERT_TRUE(overlay_->InsertSync(PeerOutside(skip), e).ok());
+  overlay_->simulation().RunFor(60 * sim::kMicrosPerSecond);
+  EXPECT_EQ(overlay_->simulation().pending_events(), 0u);
+  EXPECT_GE(overlay_->peer(stale)->rerouted_entries(), 1u);
+  EXPECT_TRUE(overlay_->peer(stale)->store().Get(e.key).empty());
+  for (net::PeerId o : owners) {
+    EXPECT_EQ(overlay_->peer(o)->store().Get(e.key).size(), 1u) << o;
+  }
+  // The owner's push and the other owner's fresh re-push, two targets
+  // each; the rerouted copies start none.
+  EXPECT_LE(Sent(net::MessageType::kReplicaPush), 4u);
+}
+
+TEST_F(BulkInsertTest, RerouteThatDeadEndsIsHeldLocally) {
+  Build(16, /*replication=*/2, /*loss=*/0, /*seed=*/24);
+  const Entry e = MakeEntry("held");
+  const std::vector<net::PeerId> owners = overlay_->ResponsiblePeers(e.key);
+  ASSERT_FALSE(owners.empty());
+  const net::PeerId stale = PeerOutside(owners);
+  Peer* peer = overlay_->peer(stale);
+  // Cut every route from the stale peer toward the entry's region.
+  const size_t level = peer->path().CommonPrefixLength(e.key);
+  const std::vector<net::PeerId> refs = peer->routing().RefsAt(level);
+  for (net::PeerId ref : refs) peer->routing().RemoveRef(level, ref);
+
+  EntryBatch rumor;
+  rumor.entries = {e};
+  rumor.gossip = true;
+  net::Message m;
+  m.type = net::MessageType::kReplicaPush;
+  m.src = owners[0];
+  m.dst = stale;
+  m.payload = rumor.Encode();
+  overlay_->transport().Send(std::move(m));
+  overlay_->simulation().RunUntilIdle();
+
+  EXPECT_EQ(peer->rerouted_entries(), 1u);
+  const std::vector<Entry> held = peer->store().Get(e.key);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].payload, e.payload);
 }
 
 }  // namespace

@@ -66,6 +66,20 @@ TEST(RangeSeqTest, FullRangeReturnsEverything) {
   EXPECT_EQ(result->peers_contacted, 16u);
 }
 
+TEST(RangeSeqTest, LongWalkCapsRoutingHopsPerStep) {
+  // A full-range walk over 512 leaves takes more than 2 * kKeyBits hops in
+  // total. The routing hop cap bounds each walk step's route, not the
+  // walk, so the scan still completes and reports its cumulative hops.
+  RangeFixture f(512, 2000);
+  KeyRange full{Key().PadTo(kKeyBits, false), Key().PadTo(kKeyBits, true)};
+  auto result = f.overlay.RangeSeqSync(0, full);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->complete);
+  EXPECT_EQ(RangeFixture::Ids(result->entries).size(), 2000u);
+  EXPECT_EQ(result->peers_contacted, 512u);
+  EXPECT_GT(result->max_hops, 2 * kKeyBits);
+}
+
 TEST(RangeShowerTest, FullRangeReturnsEverything) {
   RangeFixture f(16, 100);
   KeyRange full{Key().PadTo(kKeyBits, false), Key().PadTo(kKeyBits, true)};
