@@ -78,7 +78,7 @@ void PrintBulkIngest() {
       "C9b / bulk vs per-tuple ingest",
       "Population through the routed BulkInsert pipeline "
       "(Cluster::BulkLoadTuplesSync — entries grouped per hop, owners "
-      "ingest via LocalStore::BulkLoad) vs one routed insert per tuple.");
+      "ingest via LocalStore::Ingest) vs one routed insert per tuple.");
   bench::Table table({"peers", "tuples", "path", "wall s", "tuples/s",
                       "msgs/tuple", "speedup"});
   bench::GateJson gates;

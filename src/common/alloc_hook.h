@@ -58,9 +58,25 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms too (std::stable_sort and std::inplace_merge take
+// their scratch buffers through them): left to the library, they would
+// allocate through its own new and free through the delete below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  unistore::alloc_hook::Calls().fetch_add(1, std::memory_order_relaxed);
+  unistore::alloc_hook::Bytes().fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 #endif  // UNISTORE_COMMON_ALLOC_HOOK_H_

@@ -63,7 +63,8 @@ class UniStore {
   /// All index entries (and q-gram postings) of all tuples share one
   /// version and travel as a single batch: the overlay splits it by
   /// routing hop and the owners ingest their slice via
-  /// LocalStore::BulkLoad, bypassing the per-entry memtable path.
+  /// LocalStore::Ingest: a slice of at least one memtable flush becomes a
+  /// run directly, bypassing the per-entry memtable path.
   void BulkLoadTuples(const std::vector<triple::Tuple>& tuples,
                       StatusCallback callback);
 

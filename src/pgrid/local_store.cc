@@ -71,6 +71,19 @@ void SortBatchBySlot(std::vector<Entry>* entries) {
   *entries = std::move(sorted);
 }
 
+// Sorts a batch by slot and keeps the newest occurrence of each slot.
+void SortAndDedup(std::vector<Entry>* entries) {
+  if (entries->size() < 2) return;
+  SortBatchBySlot(entries);
+  // Slots arrive grouped, newest occurrence first.
+  entries->erase(std::unique(entries->begin(), entries->end(),
+                             [](const Entry& a, const Entry& b) {
+                               return a.key.bits() == b.key.bits() &&
+                                      a.id == b.id;
+                             }),
+                 entries->end());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -222,17 +235,30 @@ bool LocalStore::Apply(const Entry& entry) {
   return true;
 }
 
+size_t LocalStore::Ingest(std::vector<Entry> entries,
+                          std::vector<Entry>* changed_out) {
+  if (entries.size() >= options_.memtable_flush_threshold) {
+    return BulkLoad(std::move(entries), changed_out);
+  }
+  if (entries.empty() || !io_status_.ok()) return 0;
+  // Smaller than one memtable flush: a run of its own would be a tiny
+  // run plus a compaction check per batch, so it lands in the memtable.
+  // Sorted first, so `changed_out` comes out in the slot order BulkLoad
+  // reports.
+  SortAndDedup(&entries);
+  size_t changed = 0;
+  for (Entry& e : entries) {
+    if (!Apply(e)) continue;
+    ++changed;
+    if (changed_out != nullptr) changed_out->push_back(std::move(e));
+  }
+  return changed;
+}
+
 size_t LocalStore::BulkLoad(std::vector<Entry> entries,
                             std::vector<Entry>* changed_out) {
   if (entries.empty() || !io_status_.ok()) return 0;
-  SortBatchBySlot(&entries);
-  // Within-batch dedup: slots arrive grouped, newest occurrence first.
-  entries.erase(std::unique(entries.begin(), entries.end(),
-                            [](const Entry& a, const Entry& b) {
-                              return a.key.bits() == b.key.bits() &&
-                                     a.id == b.id;
-                            }),
-                entries.end());
+  SortAndDedup(&entries);
 
   std::vector<Entry> fresh;
   fresh.reserve(entries.size());
@@ -281,6 +307,16 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
     if (!Apply(e)) continue;
     ++changed;
     if (changed_out != nullptr) changed_out->push_back(std::move(e));
+  }
+  if (changed_out != nullptr && !fresh.empty() &&
+      changed_out->size() > fresh.size()) {
+    // Fresh slots, then updates, each sorted: one merge restores slot
+    // order.
+    std::inplace_merge(changed_out->begin(),
+                       changed_out->begin() + fresh.size(),
+                       changed_out->end(), [](const Entry& a, const Entry& b) {
+                         return SlotCompare(EntryView(a), EntryView(b)) < 0;
+                       });
   }
 
   if (!fresh.empty()) {
@@ -625,10 +661,26 @@ void LocalStore::MaybeCompact() {
   if (!io_status_.ok()) return;
   TierCompact();
   // Hard bound (the tiered policy's backstop when run sizes interleave so
-  // no same-class group forms): fold the oldest runs together until the
-  // store fits the fixed scan-cursor budget.
-  if (backend_->run_count() > options_.max_runs) {
-    MergeRuns(0, backend_->run_count() - options_.max_runs + 1);
+  // no same-class group forms): fold the contiguous window that makes the
+  // store fit the fixed scan-cursor budget and holds the fewest entries,
+  // the oldest on ties. Runs must stay contiguous to keep newest-wins
+  // shadowing; the cheapest window spares a large base run.
+  const size_t runs = backend_->run_count();
+  if (runs > options_.max_runs) {
+    const size_t width = runs - options_.max_runs + 1;
+    size_t best = 0;
+    uint64_t best_entries = UINT64_MAX;
+    for (size_t first = 0; first + width <= runs; ++first) {
+      uint64_t entries = 0;
+      for (size_t i = first; i < first + width; ++i) {
+        entries += backend_->run_entries(i);
+      }
+      if (entries < best_entries) {
+        best = first;
+        best_entries = entries;
+      }
+    }
+    MergeRuns(best, width);
   }
 }
 

@@ -31,8 +31,10 @@ struct LocalStoreOptions {
   size_t memtable_flush_threshold = 512;
 
   /// Hard cap on the number of resident runs (scan fan-in bound). When
-  /// size-tiered compaction leaves more runs than this, the oldest runs
-  /// are merged down until the store fits. Clamped to kMaxRuns.
+  /// size-tiered compaction leaves more runs than this, the contiguous
+  /// window of runs - max_runs + 1 runs with the fewest entries (the
+  /// oldest such window on ties) merges into one, so the store fits
+  /// without rewriting a large base run. Clamped to kMaxRuns.
   size_t max_runs = 10;
 
   /// Runs are compacted size-tiered: only runs of similar size merge
@@ -133,12 +135,14 @@ struct LocalStoreWriteStats {
 /// engine): Apply lands in a small mutable memtable; full memtables freeze
 /// into immutable sorted runs; runs compact under a size-tiered policy
 /// (only similar-size runs merge — amortized O(log N) write
-/// amplification), bounded by `max_runs` via an oldest-first fallback
-/// merge. BulkLoad turns a pre-sorted batch directly into a run,
-/// bypassing the memtable. Because a version-ordered upsert always lands
-/// in the newest structure, reads resolve a slot to its newest occurrence
-/// (memtable, then runs newest to oldest). Tombstones survive flushes and
-/// compactions.
+/// amplification), bounded by `max_runs` via a fallback merge of the
+/// cheapest contiguous window. BulkLoad turns a batch directly into a
+/// run, bypassing the memtable; Ingest, the entry point of routed
+/// batches, sends a batch smaller than one memtable flush through the
+/// memtable instead, so small writes never become tiny runs. Because a
+/// version-ordered upsert always lands in the newest structure, reads
+/// resolve a slot to its newest occurrence (memtable, then runs newest to
+/// oldest). Tombstones survive flushes and compactions.
 ///
 /// The run set itself lives behind a pluggable StorageBackend
 /// (storage_backend.h): the in-memory engine keeps the original SortedRun
@@ -190,9 +194,22 @@ class LocalStore {
   /// within the batch); entries whose slot already exists in the store
   /// fall back to the Apply path so versioned-upsert/tombstone semantics
   /// stay exact. Returns the number of entries that changed the store;
-  /// with `changed_out` set, also appends a copy of each of them there.
+  /// with `changed_out` set, also stores a copy of each of them there, in
+  /// slot order.
   size_t BulkLoad(std::vector<Entry> entries,
                   std::vector<Entry>* changed_out = nullptr);
+
+  /// \brief Ingest of a routed batch (the owner's slice of a bulk-insert
+  /// walk).
+  ///
+  /// A batch of at least `memtable_flush_threshold` entries goes to
+  /// BulkLoad. A smaller one is sorted and deduplicated like BulkLoad's,
+  /// then Applied entry by entry through the memtable, so a one-entry
+  /// write costs no run and no compaction check. Either way the result is
+  /// that of sequential Apply over the deduplicated batch, and
+  /// `changed_out` receives the changed entries in slot order.
+  size_t Ingest(std::vector<Entry> entries,
+                std::vector<Entry>* changed_out = nullptr);
 
   // --- Zero-copy visitor scans (live entries unless stated otherwise) ----
 
@@ -373,8 +390,8 @@ class LocalStore {
   void RecountFromBackend();
 
   void MaybeFlush();
-  // Applies the configured compaction policy, then enforces max_runs by
-  // merging oldest runs first.
+  // Applies the size-tiered policy, then enforces max_runs by merging the
+  // cheapest contiguous window of runs.
   void MaybeCompact();
   // One pass of the size-tiered policy: merges every contiguous group of
   // >= tier_fanin same-size-class runs, repeating until stable.

@@ -78,11 +78,14 @@ struct LookupReply {
 /// The initiator groups a batch by next routing hop and sends one
 /// BulkInsertRequest per group, all sharing the initiator's request id. A
 /// receiving peer splits the batch again: entries it is responsible for
-/// are BulkLoad-ed (and replica-pushed) locally, the rest re-group by
-/// *their* next hop and forward under the same request id. Every received
-/// BulkInsert produces exactly one reply to the initiator carrying its
-/// branch id, how many entries were applied here, how many hit a routing
-/// dead end, and the branch ids of the sub-requests it spawned. The
+/// are ingested (and replica-pushed) locally, the rest re-group by
+/// *their* next hop and forward under the same request id. A peer that
+/// applies nothing, meets no dead end and forwards the whole batch to one
+/// next hop passes its own branch on and sends no reply. Every other
+/// received BulkInsert produces exactly one reply to the initiator
+/// carrying its branch id, how many entries were applied here, how many
+/// hit a routing dead end, and the branch ids of the sub-requests it
+/// spawned. The
 /// initiator's multi-reply entry (net::RpcManager) closes the branch and
 /// opens the children until no branch is open, then retries the whole
 /// (idempotent, versioned) batch if anything failed.

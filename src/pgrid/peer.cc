@@ -18,6 +18,11 @@ namespace {
 
 void NoopStatus(Status) {}
 
+// Seq walk steps a peer remembers for duplicate suppression. A duplicate
+// trails its original by about one link delay, during which a peer runs
+// far fewer steps than this.
+constexpr size_t kSeqStepsRemembered = 256;
+
 // Wire-derived path strings must be validated before Key::FromBits (which
 // CHECK-fails on non-bit characters): the fault plane may corrupt
 // payloads, and a corrupt path must drop the message, not the process.
@@ -542,13 +547,14 @@ void Peer::DoInsertBatch(std::vector<Entry> entries, RetryBudget budget,
             "peer ", id_, ": bulk insert incomplete (", dead_ends,
             " dead ends", status.ok() ? "" : ", timed out", ")"));
       });
-  rpc_.HandleLocalReply(id, 0,
-                        DispatchBulk(std::move(entries), id_, id, id, 0));
+  std::optional<BulkInsertReply> reply =
+      DispatchBulk(std::move(entries), id_, id, id, 0);
+  if (reply) rpc_.HandleLocalReply(id, 0, *reply);
 }
 
-BulkInsertReply Peer::DispatchBulk(std::vector<Entry> entries,
-                                   PeerId initiator, uint64_t request_id,
-                                   uint64_t branch, uint32_t hops) {
+std::optional<BulkInsertReply> Peer::DispatchBulk(
+    std::vector<Entry> entries, PeerId initiator, uint64_t request_id,
+    uint64_t branch, uint32_t hops) {
   BulkInsertReply d;
   d.branch = branch;
   // The routing hop cap of Forward: past it the walk is looping through
@@ -577,19 +583,29 @@ BulkInsertReply Peer::DispatchBulk(std::vector<Entry> entries,
     // already hold would hand them straight back to it (an undamped
     // rumor cycle). Damping at the owner ends it in one hop.
     if (routing_.replicas().empty()) {
-      store_.BulkLoad(std::move(mine));
+      store_.Ingest(std::move(mine));
     } else {
       std::vector<Entry> changed;
-      store_.BulkLoad(std::move(mine), &changed);
+      store_.Ingest(std::move(mine), &changed);
       PushBatchToReplicas(changed);
     }
   }
 
+  // A hop that only relays the whole batch to one next hop passes its
+  // own branch on and does not reply: the hop that applies, splits or
+  // dead-ends the batch answers it. A write over h hops then costs h + 1
+  // messages, not 2h.
+  const bool pass_on =
+      d.applied == 0 && d.dead_ends == 0 && groups.size() == 1;
   for (auto& [next, group] : groups) {
     BulkInsertRequest sub;
     sub.initiator = initiator;
-    sub.branch = rpc_.NewBranch();
-    d.children.push_back(sub.branch);
+    if (pass_on) {
+      sub.branch = branch;
+    } else {
+      sub.branch = rpc_.NewBranch();
+      d.children.push_back(sub.branch);
+    }
     sub.entries = std::move(group);
     Message msg;
     msg.type = MessageType::kBulkInsert;
@@ -600,18 +616,20 @@ BulkInsertReply Peer::DispatchBulk(std::vector<Entry> entries,
     msg.payload = sub.Encode();
     transport_->Send(std::move(msg));
   }
+  if (pass_on) return std::nullopt;
   return d;
 }
 
 void Peer::HandleBulkInsert(const Message& msg) {
   auto req = BulkInsertRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
-  BulkInsertReply reply =
+  std::optional<BulkInsertReply> reply =
       DispatchBulk(std::move(req->entries), req->initiator, msg.request_id,
                    req->branch, msg.hops);
-  reply.peer_path = path_.bits();
+  if (!reply) return;  // Passed on.
+  reply->peer_path = path_.bits();
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
-               MessageType::kBulkInsertReply, reply.Encode());
+               MessageType::kBulkInsertReply, reply->Encode());
 }
 
 // ---------------------------------------------------------------------------
@@ -1031,8 +1049,27 @@ void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
   if (Forward(msg, range.lo) == net::kNoPeer) SeqDeadEnd(req, id, 0);
 }
 
+bool Peer::FirstRunOfSeqStep(PeerId initiator, uint64_t request_id,
+                             uint64_t branch) {
+  const sim::SimTime now = NowUs();
+  while (!seq_steps_.empty() && seq_steps_.front().expires_at <= now) {
+    seq_steps_.pop_front();
+  }
+  for (const SeqStep& s : seq_steps_) {
+    if (s.branch == branch && s.request_id == request_id &&
+        s.initiator == initiator) {
+      return false;
+    }
+  }
+  if (seq_steps_.size() == kSeqStepsRemembered) seq_steps_.pop_front();
+  seq_steps_.push_back({initiator, request_id, branch, now + kScanTimeout});
+  return true;
+}
+
 void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
                            uint32_t hops) {
+  // A duplicated step would start a second walk to the end of the range.
+  if (!FirstRunOfSeqStep(req.initiator, request_id, req.branch)) return;
   RangeSeqReply reply;
   reply.branch = req.branch;
   reply.peer_path = path_.bits();
@@ -1530,6 +1567,7 @@ void Peer::Restart(StatusCallback on_catchup) {
   rpc_.FailAll(Status::Unavailable("peer ", id_, ": restarted"));
   hot_owners_.clear();
   recent_serves_.clear();
+  seq_steps_.clear();
   suspects_.clear();
   probe_failures_.clear();
 

@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -221,9 +222,11 @@ class Peer {
   ///
   /// The batch is grouped by next routing hop and travels as BulkInsert
   /// messages that split recursively at each peer; responsible peers
-  /// ingest their group through LocalStore::BulkLoad (bypassing the
-  /// per-entry memtable path) and push the entries that changed their
-  /// store to replicas as one rumor batch. The callback fires once every
+  /// ingest their group through LocalStore::Ingest (a group smaller than
+  /// one memtable flush through the memtable, a larger one as a run) and
+  /// push the entries that changed their store to replicas as one rumor
+  /// batch. A hop that only relays the whole batch to one next hop sends
+  /// no reply. The callback fires once every
   /// sub-walk reported back; on loss, a routing dead end, the hop cap or
   /// the request_timeout deadline the whole batch retries (versioned
   /// upserts make re-delivery idempotent) before giving up with
@@ -476,13 +479,15 @@ class Peer {
   void AddPeerByPath(PeerId peer, const Key& peer_path);
 
   // Bulk ingest pipeline: applies the responsible subset of `entries`
-  // here (BulkLoad + replica push of what changed), groups the rest by
-  // next hop and forwards each group under `request_id` as a child of
-  // `branch`; past the hop cap the rest are dead ends. Returns the reply
-  // that answers `branch` (peer_path left empty).
-  BulkInsertReply DispatchBulk(std::vector<Entry> entries, PeerId initiator,
-                               uint64_t request_id, uint64_t branch,
-                               uint32_t hops);
+  // here (LocalStore::Ingest + replica push of what changed), groups the
+  // rest by next hop and forwards each group under `request_id` as a
+  // child of `branch`; past the hop cap the rest are dead ends. Returns
+  // the reply that answers `branch` (peer_path left empty), or nothing
+  // when the whole batch went to one next hop under `branch` itself.
+  std::optional<BulkInsertReply> DispatchBulk(std::vector<Entry> entries,
+                                              PeerId initiator,
+                                              uint64_t request_id,
+                                              uint64_t branch, uint32_t hops);
 
   // Replica maintenance.
   void PushBatchToReplicas(const std::vector<Entry>& entries);
@@ -505,6 +510,20 @@ class Peer {
   uint64_t rerouted_entries_ = 0;
 
   std::map<net::MessageType, ExtensionHandler> extensions_;
+
+  // Seq walk steps this peer ran, oldest first, so a duplicated step does
+  // not fork a second walk. An entry expires after kScanTimeout (the walk
+  // is over by then) and at most kSeqStepsRemembered are kept.
+  struct SeqStep {
+    PeerId initiator = net::kNoPeer;
+    uint64_t request_id = 0;
+    uint64_t branch = 0;
+    sim::SimTime expires_at = 0;
+  };
+  std::deque<SeqStep> seq_steps_;
+  // Records the step; false if it ran here already.
+  bool FirstRunOfSeqStep(PeerId initiator, uint64_t request_id,
+                         uint64_t branch);
 
   // Hot-key fan-out state (DESIGN.md §8).
   std::deque<sim::SimTime> recent_serves_;  ///< Served-lookup timestamps.

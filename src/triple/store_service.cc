@@ -31,7 +31,7 @@ void TripleStore::InsertEntries(std::vector<pgrid::Entry> entries,
   // One logical write travels as one routed batch: the overlay groups the
   // index entries by next hop (BulkInsert pipeline) instead of issuing a
   // routed insert per entry, and responsible peers ingest their group via
-  // LocalStore::BulkLoad.
+  // LocalStore::Ingest.
   peer_->InsertBatch(std::move(entries), std::move(callback));
 }
 

@@ -41,9 +41,9 @@ class TripleStore {
   // --- Writes -------------------------------------------------------------
 
   /// Routes a batch of prepared entries into the overlay as one
-  /// BulkInsert walk (grouped by next hop, BulkLoad-ingested at the
-  /// owners); the callback fires once the whole batch is accounted for.
-  /// Used by the higher layers to combine triple-index and
+  /// BulkInsert walk (grouped by next hop, ingested at the owners
+  /// through LocalStore::Ingest); the callback fires once the whole batch
+  /// is accounted for. Used by the higher layers to combine triple-index and
   /// q-gram-posting entries in one logical write, and by the bulk-load
   /// path to ship many tuples at once.
   void InsertEntries(std::vector<pgrid::Entry> entries,

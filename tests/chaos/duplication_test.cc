@@ -136,6 +136,68 @@ TEST(DuplicationTest, BulkInsertAcksOnlyStoredBatches) {
   EXPECT_EQ(acked, 20);
 }
 
+// A duplicated seq walk step runs once per receiver, so it does not fork
+// a second walk to the end of the range: the scan costs at most twice
+// its messages without duplication and returns the same rows.
+TEST(DuplicationTest, DuplicatedSeqStepsDoNotForkWalks) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    std::optional<RangeResult> clean;
+    uint64_t clean_msgs = 0;
+    for (const bool duplicate : {false, true}) {
+      OverlayOptions options = DuplicatingOverlay(seed);
+      if (!duplicate) options.fault_schedule = net::FaultSchedule();
+      Overlay overlay(options);
+      overlay.AddPeers(kPeers);
+      overlay.BuildBalanced();
+      for (const Entry& e : MakeRows("row", kRows)) overlay.InsertDirect(e);
+      const uint64_t before = overlay.transport().stats().messages_sent;
+      Result<RangeResult> result = overlay.RangeSeqSync(
+          static_cast<net::PeerId>(seed % kPeers), kFullRange);
+      ASSERT_TRUE(result.ok()) << "seed " << seed;
+      ASSERT_TRUE(result->complete) << "seed " << seed;
+      const uint64_t msgs =
+          overlay.transport().stats().messages_sent - before;
+      if (!duplicate) {
+        clean = *result;
+        clean_msgs = msgs;
+        continue;
+      }
+      EXPECT_LE(msgs, 2 * clean_msgs)
+          << "seed " << seed << ": " << msgs << " messages vs " << clean_msgs
+          << " without duplication";
+      EXPECT_EQ(result->entries, clean->entries) << "seed " << seed;
+    }
+  }
+}
+
+// A relay hop passes its branch on with the batch; a duplicated relay
+// forward reaches the owner twice under that one branch, and the write
+// still closes exactly once.
+TEST(DuplicationTest, DuplicatedRelayForwardClosesWriteOnce) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Overlay overlay(DuplicatingOverlay(seed));
+    overlay.AddPeers(kPeers);
+    overlay.BuildBalanced();
+    for (const Entry& e : MakeRows("one", 8)) {
+      int callbacks = 0;
+      Status status;
+      overlay.peer(0)->InsertBatch({e}, [&](Status s) {
+        ++callbacks;
+        status = std::move(s);
+      });
+      overlay.simulation().RunUntilIdle();
+      EXPECT_EQ(callbacks, 1) << "seed " << seed << " " << e.id;
+      EXPECT_TRUE(status.ok()) << "seed " << seed << " " << e.id << ": "
+                               << status.ToString();
+      bool stored = false;
+      for (net::PeerId owner : overlay.ResponsiblePeers(e.key)) {
+        stored = stored || !overlay.peer(owner)->store().Get(e.key).empty();
+      }
+      EXPECT_TRUE(stored) << "seed " << seed << " " << e.id;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pgrid
 }  // namespace unistore

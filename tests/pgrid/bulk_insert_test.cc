@@ -267,6 +267,82 @@ TEST_F(BulkInsertTest, RerouteThatDeadEndsIsHeldLocally) {
   EXPECT_EQ(held[0].payload, e.payload);
 }
 
+TEST_F(BulkInsertTest, RelayHopsPassTheirBranchOn) {
+  // A hop that only relays a one-entry write replies nothing: over h
+  // forwards the write costs h requests and the owner's one reply.
+  Build(64, /*replication=*/1, /*loss=*/0, /*seed=*/25);
+  bool multi_hop = false;
+  for (int i = 0; i < 64 && !multi_hop; ++i) {
+    const Entry e = MakeEntry("relay-" + std::to_string(i));
+    const uint64_t requests = Sent(net::MessageType::kBulkInsert);
+    const uint64_t replies = Sent(net::MessageType::kBulkInsertReply);
+    const uint64_t total = overlay_->transport().stats().messages_sent;
+    ASSERT_TRUE(overlay_->InsertBatchSync(0, {e}).ok()) << e.id;
+    overlay_->simulation().RunUntilIdle();
+    const uint64_t hops = Sent(net::MessageType::kBulkInsert) - requests;
+    if (hops < 2) continue;
+    multi_hop = true;
+    EXPECT_EQ(Sent(net::MessageType::kBulkInsertReply) - replies, 1u);
+    EXPECT_EQ(overlay_->transport().stats().messages_sent - total, hops + 1);
+  }
+  EXPECT_TRUE(multi_hop) << "no write from peer 0 took two hops";
+}
+
+TEST_F(BulkInsertTest, OwnerThatForwardsTheRestStillReplies) {
+  // Peer 0 routes both entries through peer 1, which owns one of them and
+  // forwards the other to peer 2. Peer 0 only relays (its branch goes on
+  // with the batch); peer 1 applied an entry, so it answers that branch
+  // and names its child, which peer 2 answers.
+  OverlayOptions options;
+  options.seed = 27;
+  overlay_ = std::make_unique<Overlay>(options);
+  overlay_->AddPeers(3);
+  Peer* a = overlay_->peer(0);
+  Peer* b = overlay_->peer(1);
+  Peer* c = overlay_->peer(2);
+  a->SetPath(Key::FromBits("00"));
+  b->SetPath(Key::FromBits("01"));
+  c->SetPath(Key::FromBits("1"));
+  a->routing().AddRef(0, b->id(), &overlay_->rng());
+  a->routing().AddRef(1, b->id(), &overlay_->rng());
+  b->routing().AddRef(0, c->id(), &overlay_->rng());
+  b->routing().AddRef(1, a->id(), &overlay_->rng());
+  c->routing().AddRef(0, a->id(), &overlay_->rng());
+  Entry at_b = MakeEntry("at-b");
+  at_b.key = Key::FromBits("01").PadTo(kKeyBits, false);
+  Entry at_c = MakeEntry("at-c");
+  at_c.key = Key::FromBits("1").PadTo(kKeyBits, false);
+
+  ASSERT_TRUE(overlay_->InsertBatchSync(0, {at_b, at_c}).ok());
+  overlay_->simulation().RunUntilIdle();
+  EXPECT_EQ(Sent(net::MessageType::kBulkInsert), 2u);
+  EXPECT_EQ(Sent(net::MessageType::kBulkInsertReply), 2u);
+  EXPECT_EQ(b->store().Get(at_b.key).size(), 1u);
+  EXPECT_EQ(c->store().Get(at_c.key).size(), 1u);
+}
+
+TEST_F(BulkInsertTest, OneEntryWritesAddNoRuns) {
+  // Small owner slices go through the memtable: a run per one-entry write
+  // would also cost a compaction check each.
+  Build(16, /*replication=*/1, /*loss=*/0, /*seed=*/26);
+  const Key key = OpHash("one-owner");
+  const std::vector<net::PeerId> owners = overlay_->ResponsiblePeers(key);
+  ASSERT_EQ(owners.size(), 1u);
+  const LocalStore& store = overlay_->peer(owners[0])->store();
+  const size_t runs = store.run_count();
+  for (int i = 0; i < 100; ++i) {
+    Entry e;
+    e.key = key;
+    e.id = "w" + std::to_string(i);
+    e.payload = "payload";
+    ASSERT_TRUE(overlay_->InsertBatchSync(3, {e}).ok()) << i;
+  }
+  EXPECT_EQ(store.run_count(), runs);
+  EXPECT_EQ(store.write_stats().compactions, 0u);
+  EXPECT_EQ(store.write_stats().bulk_loaded_entries, 0u);
+  EXPECT_EQ(store.Get(key).size(), 100u);
+}
+
 }  // namespace
 }  // namespace pgrid
 }  // namespace unistore

@@ -13,6 +13,7 @@
 #include "common/alloc_hook.h"
 #include "common/codec.h"
 #include "common/rng.h"
+#include "pgrid/backend_env.h"
 #include "pgrid/ophash.h"
 #include "pgrid/sorted_run.h"
 #include "pgrid/storage_backend.h"
@@ -954,6 +955,138 @@ TEST(LocalStoreChurnTest, InterleavedApplyBulkLoadExtractMatchesModel) {
       EXPECT_EQ(store.GetRange(range), model.GetRange(range));
     }
   }
+}
+
+// --- Routed-batch ingest ----------------------------------------------------
+
+// The batch as sequential Apply should see it: in slot order, newest
+// version of each slot only (the first of equal versions).
+std::vector<Entry> DedupedBySlot(const std::vector<Entry>& batch) {
+  std::map<std::pair<std::string, std::string>, Entry> newest;
+  for (const Entry& e : batch) {
+    auto [it, fresh] = newest.try_emplace({e.key.bits(), e.id}, e);
+    if (!fresh && e.version > it->second.version) it->second = e;
+  }
+  std::vector<Entry> out;
+  for (auto& [slot, e] : newest) out.push_back(std::move(e));
+  return out;
+}
+
+TEST(LocalStoreIngestTest, MatchesSequentialApplyOnBothBackends) {
+  for (const auto backend : {LocalStoreOptions::Backend::kMemory,
+                             LocalStoreOptions::Backend::kDisk}) {
+    Rng rng(20261019);
+    storage::MemEnv env;
+    for (int round = 0; round < 4; ++round) {
+      LocalStoreOptions options;
+      options.memtable_flush_threshold = 4 + rng.NextBounded(8);
+      options.max_runs = 2 + rng.NextBounded(6);
+      options.backend = backend;
+      options.data_dir = "ingest-" + std::to_string(round);
+      options.env = &env;
+      options.block_bytes = 256;
+      LocalStore store(options);
+      LocalStoreOptions ref_options = options;
+      ref_options.backend = LocalStoreOptions::Backend::kMemory;
+      LocalStore ref(ref_options);
+
+      auto random_entry = [&rng](int op) {
+        std::string bits;
+        for (int b = 0; b < 5; ++b) bits += rng.NextBounded(2) ? '1' : '0';
+        const bool deleted = rng.NextBounded(5) == 0;
+        return MakeEntry(bits, "id" + std::to_string(rng.NextBounded(4)),
+                         deleted ? "" : "p" + std::to_string(op),
+                         1 + rng.NextBounded(8), deleted);
+      };
+
+      for (int op = 0; op < 60; ++op) {
+        // Batch sizes on both sides of the flush threshold; slots repeat
+        // within a batch and across batches (stale versions, tombstones).
+        std::vector<Entry> batch;
+        const uint64_t n =
+            1 + rng.NextBounded(2 * options.memtable_flush_threshold);
+        for (uint64_t i = 0; i < n; ++i) {
+          batch.push_back(random_entry(op * 100 + static_cast<int>(i)));
+        }
+        std::vector<Entry> expected_changed;
+        for (const Entry& e : DedupedBySlot(batch)) {
+          if (ref.Apply(e)) expected_changed.push_back(e);
+        }
+        std::vector<Entry> changed;
+        const size_t count = store.Ingest(batch, &changed);
+        ASSERT_EQ(changed, expected_changed) << "round " << round << " op "
+                                             << op << " batch of " << n;
+        ASSERT_EQ(count, expected_changed.size());
+        ASSERT_EQ(store.GetAll(), ref.GetAll()) << "op " << op;
+        ASSERT_EQ(store.live_size(), ref.live_size());
+        ASSERT_EQ(store.total_size(), ref.total_size());
+      }
+      EXPECT_TRUE(store.io_status().ok());
+      EXPECT_LE(store.run_count(), options.max_runs);
+    }
+  }
+}
+
+TEST(LocalStoreIngestTest, SmallBatchesLandInTheMemtable) {
+  LocalStoreOptions options;
+  options.memtable_flush_threshold = 8;
+  LocalStore store(options);
+  for (int i = 0; i < 7; ++i) {
+    std::string bits;
+    for (int b = 3; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
+    EXPECT_EQ(store.Ingest({MakeEntry(bits, "id", "p")}), 1u);
+  }
+  EXPECT_EQ(store.run_count(), 0u);
+  EXPECT_EQ(store.memtable_size(), 7u);
+  EXPECT_EQ(store.write_stats().compactions, 0u);
+
+  // A batch of a whole flush becomes one run, as BulkLoad makes it.
+  std::vector<Entry> batch;
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back(MakeEntry("1111", "big" + std::to_string(i), "p"));
+  }
+  EXPECT_EQ(store.Ingest(batch), 8u);
+  EXPECT_EQ(store.run_count(), 1u);
+  EXPECT_EQ(store.memtable_size(), 7u);
+  EXPECT_EQ(store.write_stats().bulk_loaded_entries, 8u);
+}
+
+TEST(LocalStoreTierTest, MaxRunsBackstopSparesALargeBaseRun) {
+  // One large oldest run, then small runs that never form a tier group
+  // (fan-in 8): when they push the store over max_runs, the backstop
+  // must fold small runs together, not rewrite the base run.
+  LocalStoreOptions options;
+  options.memtable_flush_threshold = 4;
+  options.max_runs = 3;
+  options.tier_fanin = 8;
+  LocalStore store(options);
+  std::vector<Entry> base;
+  for (int i = 0; i < 256; ++i) {
+    std::string bits;
+    for (int b = 7; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
+    base.push_back(MakeEntry(bits, "base", "p" + std::to_string(i)));
+  }
+  store.BulkLoad(base);
+  ASSERT_EQ(store.run_count(), 1u);
+  const uint64_t base_id = store.RunSummaries()[0].run_id;
+  const uint64_t base_bytes = store.write_stats().bulk_loaded_bytes;
+
+  for (int r = 1; r <= 3; ++r) {
+    std::vector<Entry> small;
+    for (int i = 0; i < r; ++i) {
+      small.push_back(
+          MakeEntry("0101", "s" + std::to_string(r * 4 + i), "q"));
+    }
+    store.BulkLoad(small);
+  }
+  const uint64_t small_bytes =
+      store.write_stats().bulk_loaded_bytes - base_bytes;
+  EXPECT_EQ(store.run_count(), 3u);
+  EXPECT_EQ(store.RunSummaries()[0].run_id, base_id);
+  EXPECT_EQ(store.write_stats().compactions, 1u);
+  EXPECT_LE(store.write_stats().compacted_bytes, small_bytes);
+  EXPECT_EQ(store.live_size(), 256u + 6u);
+  EXPECT_EQ(store.GetAll().size(), 256u + 6u);
 }
 
 // --- Entry codec -----------------------------------------------------------
